@@ -63,8 +63,8 @@ pub use fault::{FaultError, FaultKind, FaultPlan, FaultRule};
 pub use impact::{diff_lines, myers_distance, DiffStats, FileImpact, FileStatus, ImpactReport};
 pub use lint::{lint_sources, SourceLintFinding, SourceLintReport};
 pub use pipeline::{
-    navigation_aspect, navigation_aspect_shared, navigation_map, weave_pages_cached,
-    weave_separated, weave_separated_cached, weave_separated_cached_with, weave_separated_parallel,
+    navigation_aspect, navigation_aspect_shared, navigation_map, weave_separated,
+    weave_separated_cached, weave_separated_cached_with, weave_separated_parallel,
     weave_separated_parallel_faulted, weave_separated_streaming, weave_separated_streaming_cached,
     weave_separated_streaming_cached_faulted, weave_separated_streaming_faulted,
     weave_separated_streaming_with, weave_separated_with, PageNav, StreamedOutput, WeaveCache,

@@ -27,9 +27,9 @@ use navsep_aspect::{
 use navsep_hypermodel::NavLinkKind;
 use navsep_style::Transform;
 use navsep_web::{MediaType, Resource, Site};
-use navsep_xlink::{Endpoint, Linkbase, Resolver};
+use navsep_xlink::{Endpoint, Linkbase, Resolver, Traversal};
 use navsep_xml::{fnv1a64, ElementBuilder, WriteOptions};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -196,11 +196,18 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// * `aspects.xml` → parsed [`Aspect`]s (via [`AspectCache`]);
 /// * the (linkbase, aspects) pair → the fully [`CompiledWeaver`], with
 ///   every rule pointcut pre-analyzed into its index candidate plan, so a
-///   steady-state reweave goes straight to candidate resolution.
+///   steady-state reweave goes straight to candidate resolution;
+/// * `links.xml` → its expanded traversal list, built on the first
+///   incremental commit under that linkbase and used to re-check only the
+///   locators that point into edited documents.
 ///
 /// Locator resolution against the data set is deliberately **not** cached:
 /// it depends on the data documents, which may change between weaves even
 /// when the linkbase does not.
+///
+/// [`hits`](Self::hits) and [`misses`](Self::misses) count the compiled
+/// specs; the traversal list is an expansion of an already cached linkbase
+/// and shows up in [`entries`](Self::entries) only.
 ///
 /// # Examples
 ///
@@ -230,6 +237,7 @@ pub struct WeaveCache {
     navigation: SpecCache<BTreeMap<String, PageNav>>,
     aspects: AspectCache,
     weavers: SpecCache<CompiledWeaver>,
+    traversals: SpecCache<Vec<Traversal>>,
 }
 
 impl WeaveCache {
@@ -266,6 +274,7 @@ impl WeaveCache {
             + self.navigation.len()
             + self.aspects.len()
             + self.weavers.len()
+            + self.traversals.len()
     }
 
     /// Drops all cached compilations (counters are kept).
@@ -275,6 +284,7 @@ impl WeaveCache {
         self.navigation.clear();
         self.aspects.clear();
         self.weavers.clear();
+        self.traversals.clear();
     }
 }
 
@@ -300,8 +310,14 @@ fn base_weaver(nav_map: &Arc<BTreeMap<String, PageNav>>, site_aspects: &[Aspect]
 }
 
 /// Compiles (or fetches) every spec in `sources`, then validates locator
-/// resolution against the current data set.
-fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledSpecs, CoreError> {
+/// resolution against the current data set: every locator, or — given a
+/// cache and the `touched` source paths — only those a batch touching
+/// exactly those paths can have broken (see [`check_touched_locators`]).
+fn compile_specs(
+    sources: &Site,
+    cache: Option<&WeaveCache>,
+    touched: Option<&BTreeSet<String>>,
+) -> Result<CompiledSpecs, CoreError> {
     let transform_doc = sources
         .get(TRANSFORM_PATH)
         .and_then(Resource::document)
@@ -337,10 +353,16 @@ fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledS
         }
     };
 
-    // Validate every locator resolves against the *current* data set before
-    // weaving — never cached; the data may have changed under a cached
-    // linkbase.
-    Resolver::new(sources, LINKBASE_PATH).resolve(&linkbase)?;
+    // Validate locators against the *current* data set before weaving —
+    // never cached; the data may have changed under a cached linkbase.
+    match (cache, touched) {
+        (Some(cache), Some(touched)) => {
+            check_touched_locators(sources, links_doc, &linkbase, cache, touched)?;
+        }
+        _ => {
+            Resolver::new(sources, LINKBASE_PATH).resolve(&linkbase)?;
+        }
+    }
 
     // Site-defined aspects (paper §7 future work): aspects.xml, if present,
     // contributes further concerns to the weave.
@@ -385,6 +407,68 @@ fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledS
         site_aspects,
         weaver,
     })
+}
+
+/// The site path a remote endpoint's document lives at, as
+/// [`Resolver::resolve_endpoint`] looks it up (no leading `/`, the stored
+/// form of a [`Site`] path).
+fn endpoint_document(endpoint: &Endpoint) -> Option<&str> {
+    match endpoint {
+        Endpoint::Remote(href) if href.is_same_document() => Some(LINKBASE_PATH),
+        Endpoint::Remote(href) => Some(href.document().trim_start_matches('/')),
+        Endpoint::Local(_) => None,
+    }
+}
+
+/// Resolves only the traversals with an endpoint in a `touched` document,
+/// in the linkbase's traversal order — the locator check of an incremental
+/// commit.
+///
+/// Precondition: this linkbase already passed the locator check against
+/// `sources` as they were before the `touched` paths were edited (a full
+/// [`Resolver::resolve`], or a touched check chained back to one). Every
+/// skipped endpoint was then resolved against the same document under the
+/// same linkbase, so the full check could fail only at a touched traversal
+/// — and walking those in the same order, `from` before `to`, meets the
+/// same first error.
+fn check_touched_locators(
+    sources: &Site,
+    links_doc: &navsep_xml::Document,
+    linkbase: &Linkbase,
+    cache: &WeaveCache,
+    touched: &BTreeSet<String>,
+) -> Result<(), CoreError> {
+    let traversals = cache
+        .traversals
+        .get_or_try_insert(links_doc.content_hash(), || linkbase.traversals())?;
+    let in_touched = |ep: &Endpoint| endpoint_document(ep).is_some_and(|doc| touched.contains(doc));
+    let resolver = Resolver::new(sources, LINKBASE_PATH);
+    for t in traversals
+        .iter()
+        .filter(|t| in_touched(&t.from) || in_touched(&t.to))
+    {
+        resolver.resolve_endpoint(&t.from)?;
+        resolver.resolve_endpoint(&t.to)?;
+    }
+    Ok(())
+}
+
+/// Stores a freshly woven page into an output site, compacted first: the
+/// weaver leaves spare arena capacity that retained epochs would otherwise
+/// keep alive.
+pub(crate) fn put_woven_page(site: &mut Site, path: String, mut doc: navsep_xml::Document) {
+    doc.shrink_to_fit();
+    site.put_page(path, doc);
+}
+
+/// Passes the raw resources of `sources` (the CSS) through to `site`,
+/// shared rather than copied, media type and all.
+fn pass_raw_through(sources: &Site, site: &mut Site) {
+    for (path, res) in sources.iter_shared() {
+        if let Resource::Raw { .. } = **res {
+            site.put_shared(path, Arc::clone(res));
+        }
+    }
 }
 
 /// Runs the full pipeline: separated sources in, woven site out.
@@ -434,21 +518,23 @@ pub fn weave_separated_cached(
 /// incremental commit path: a K-page edit transforms and weaves K pages,
 /// not the whole site.
 ///
-/// Spec compilation and locator validation behave exactly as in
-/// [`weave_separated_cached`] (the linkbase is still validated against the
-/// *entire* current data set); only the transformed/woven page set is
-/// restricted. Each output triple is `(page_path, woven_page, report)`.
+/// Spec compilation behaves exactly as in [`weave_separated_cached`].
+/// Locator validation covers only the traversals with an endpoint in a
+/// `touched` source path, under the precondition of
+/// [`check_touched_locators`]. Each output triple is
+/// `(page_path, woven_page, report)`.
 ///
 /// # Errors
 ///
 /// As [`weave_separated`], plus [`CoreError::Pipeline`] when a requested
 /// path is not a data document in `sources`.
-pub fn weave_pages_cached(
+pub(crate) fn weave_pages_cached(
     sources: &Site,
     cache: &WeaveCache,
     data_paths: &[String],
+    touched: &BTreeSet<String>,
 ) -> Result<Vec<(String, navsep_xml::Document, WeaveReport)>, CoreError> {
-    let specs = compile_specs(sources, Some(cache))?;
+    let specs = compile_specs(sources, Some(cache), Some(touched))?;
     let weaver = specs
         .weaver
         .clone()
@@ -486,7 +572,7 @@ fn weave_impl(
     extra_aspects: &[Aspect],
     cache: Option<&WeaveCache>,
 ) -> Result<WovenOutput, CoreError> {
-    let specs = compile_specs(sources, cache)?;
+    let specs = compile_specs(sources, cache, None)?;
 
     // Stage 1 — presentation: transform each data document into a base page.
     let mut pages: BTreeMap<String, navsep_xml::Document> = BTreeMap::new();
@@ -519,14 +605,10 @@ fn weave_impl(
     let (woven, reports) = weaver.weave_site(&pages)?;
     let mut site = Site::new();
     for (path, doc) in woven {
-        site.put_page(path, doc);
+        put_woven_page(&mut site, path, doc);
     }
     // Raw resources (the CSS) pass through untouched, media type and all.
-    for (path, res) in sources.iter() {
-        if let Resource::Raw { .. } = res {
-            site.put_resource(path, res.clone());
-        }
-    }
+    pass_raw_through(sources, &mut site);
     Ok(WovenOutput { site, reports })
 }
 
@@ -596,7 +678,7 @@ pub fn weave_separated_parallel_faulted(
     faults: Option<&FaultPlan>,
 ) -> Result<WovenOutput, CoreError> {
     assert!(workers > 0, "need at least one worker");
-    let specs = compile_specs(sources, None)?;
+    let specs = compile_specs(sources, None, None)?;
     let transform = &specs.transform;
     // Compile once, share across workers (CompiledWeaver is Send + Sync).
     let weaver = base_weaver(&specs.nav_map, &specs.site_aspects).compile();
@@ -674,14 +756,10 @@ pub fn weave_separated_parallel_faulted(
     let mut site = Site::new();
     let mut reports = Vec::with_capacity(pages.len());
     for (path, (doc, report)) in pages {
-        site.put_page(path, doc);
+        put_woven_page(&mut site, path, doc);
         reports.push(report);
     }
-    for (path, res) in sources.iter() {
-        if let Resource::Raw { .. } = res {
-            site.put_resource(path, res.clone());
-        }
-    }
+    pass_raw_through(sources, &mut site);
     Ok(WovenOutput { site, reports })
 }
 
@@ -901,7 +979,7 @@ fn streaming_impl(
     faults: Option<&FaultPlan>,
 ) -> Result<StreamedOutput, CoreError> {
     assert!(workers > 0, "need at least one worker");
-    let specs = compile_specs(sources, cache)?;
+    let specs = compile_specs(sources, cache, None)?;
     let transform = Arc::clone(&specs.transform);
     let weaver = match (&specs.weaver, extra_aspects.is_empty()) {
         (Some(w), true) => Arc::clone(w),
@@ -1026,20 +1104,16 @@ fn streaming_impl(
             PageOut::Dom { doc, report } => {
                 pages_fallback += 1;
                 reports.push(report);
-                site.put_page(path, doc);
+                put_woven_page(&mut site, path, doc);
             }
             PageOut::Degraded { doc, report } => {
                 pages_degraded += 1;
                 reports.push(report);
-                site.put_page(path, doc);
+                put_woven_page(&mut site, path, doc);
             }
         }
     }
-    for (path, res) in sources.iter() {
-        if let Resource::Raw { .. } = res {
-            site.put_resource(path, res.clone());
-        }
-    }
+    pass_raw_through(sources, &mut site);
     Ok(StreamedOutput {
         site,
         reports,

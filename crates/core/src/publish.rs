@@ -12,15 +12,24 @@
 //! previous epoch.
 //!
 //! Commits are incremental end to end when the batch touches only data or
-//! raw resources: the K edited pages are re-transformed and re-woven
-//! ([`weave_pages_cached`]), every other page of the retained woven site is
-//! reused as-is (its memoized [`navsep_xml::Document::content_hash`]
-//! travelling with the clone), and
-//! [`ShardedSiteStore::publish_incremental`] then reuses the unchanged
-//! `Arc` entries and skips untouched shards — a K-page edit republishes
-//! O(K) pages, not O(site). A batch that edits a *spec* (linkbase,
-//! transform, `aspects.xml`) falls back to the full weave, since any page
-//! may be affected.
+//! raw resources. A [`Site`] is copy-on-write (`Arc` per resource), so the
+//! working copy of the sources and of the last woven site share every
+//! document they do not replace. The K edited pages are re-transformed and
+//! re-woven; the locator check resolves only the traversals with an
+//! endpoint in an edited document, in the full check's order, from a
+//! traversal list cached per linkbase; every other page is the previous
+//! weave's `Arc`, memoized [`navsep_xml::Document::content_hash`] and all;
+//! and [`ShardedSiteStore::publish_incremental`] reuses the unchanged
+//! entries and skips untouched shards. Document work is O(K); what stays
+//! O(site) is pointer work — the path maps' refcount bumps and key copies
+//! and the store diff's one hash comparison per entry. A batch that edits a
+//! *spec* (linkbase, transform, `aspects.xml`) falls back to the full
+//! weave, since any page may be affected.
+//!
+//! The store's epochs hold the same `Arc`s as the publisher's last woven
+//! site, so a page that survives many commits is stored once, however many
+//! retained generations serve it. Newly woven pages are compacted
+//! ([`navsep_xml::Document::shrink_to_fit`]) before they are shared.
 //!
 //! Commits are transactional over the staged batch: if the weave (or the
 //! audit / pre-weave lint, for
@@ -34,7 +43,7 @@ use crate::fault::{self, FaultPlan};
 use crate::layout::data_to_page;
 use crate::lint::lint_sources;
 use crate::pipeline::{
-    panic_message, weave_pages_cached, weave_separated_cached,
+    panic_message, put_woven_page, weave_pages_cached, weave_separated_cached,
     weave_separated_streaming_cached_faulted, WeaveCache,
 };
 use navsep_web::{IncrementalPublish, Resource, ShardedSiteStore, Site};
@@ -182,7 +191,7 @@ impl SourceEdit {
                 }
             }
             SourceEdit::Remove { path } => {
-                sources.remove(path);
+                sources.remove_shared(path);
             }
         }
     }
@@ -251,9 +260,12 @@ pub struct SitePublisher {
     cache: WeaveCache,
     staged: Vec<SourceEdit>,
     /// The woven site of the last successful commit — what the
-    /// incremental path reuses for untouched pages (document clones carry
-    /// their memoized content hash, so the store's diff is O(1) per
-    /// reused page).
+    /// incremental path reuses for untouched pages. Its resources are the
+    /// very `Arc`s the store's live epoch serves (memoized content hash
+    /// included, so the store's diff is O(1) per reused page). `Some` also
+    /// records that `sources` passed the locator check under the current
+    /// linkbase, which is what lets the next data-only commit re-check only
+    /// the locators into the documents it edits.
     last_woven: Option<Site>,
     /// Fault plan threaded into the weave; `None` (the default) costs one
     /// branch per page.
@@ -331,6 +343,12 @@ impl SitePublisher {
     /// The spec cache reused across commits.
     pub fn cache(&self) -> &WeaveCache {
         &self.cache
+    }
+
+    /// The woven site of the last successful commit (`None` before the
+    /// first). It shares its resources with the store's live epoch.
+    pub fn last_woven(&self) -> Option<&Site> {
+        self.last_woven.as_ref()
     }
 
     /// Applies every staged edit, weaves once, and publishes the woven
@@ -444,58 +462,68 @@ impl SitePublisher {
         path == LINKBASE_PATH || path == TRANSFORM_PATH || path == ASPECTS_PATH
     }
 
-    /// The path a staged edit touches.
+    /// The path a staged edit touches, in its stored form (a [`Site`]
+    /// normalizes a leading `/` away, so `/links.xml` *is* the linkbase).
     fn edit_path(edit: &SourceEdit) -> &str {
         match edit {
             SourceEdit::PutDocument { path, .. }
             | SourceEdit::PutRaw { path, .. }
-            | SourceEdit::Remove { path } => path,
+            | SourceEdit::Remove { path } => path.trim_start_matches('/'),
         }
     }
 
     /// Reweaves only what the staged batch touched, reusing every other
     /// page of `prev` (the last woven site) verbatim. Only valid when no
-    /// spec changed. Returns the next woven site plus (rewoven, reused)
-    /// counts.
+    /// spec changed and the committed sources passed the locator check
+    /// under the current linkbase. Returns the next woven site plus
+    /// (rewoven, reused) counts.
     fn incremental_weave(
         &self,
         next: &Site,
         prev: &Site,
     ) -> Result<(Site, usize, usize), CoreError> {
+        // Copy-on-write: shares every page of `prev`.
         let mut site = prev.clone();
-        let touched: BTreeSet<&str> = self.staged.iter().map(Self::edit_path).collect();
+        let touched: BTreeSet<String> = self
+            .staged
+            .iter()
+            .map(|edit| Self::edit_path(edit).to_string())
+            .collect();
         let mut to_weave: Vec<String> = Vec::new();
         let mut raw_refreshed = 0usize;
-        for path in touched {
+        for path in &touched {
             // Drop whatever the previous weave produced for this source,
             // then mirror what a full weave would emit for its new state:
             // data documents become woven pages, raw resources pass
             // through (media type preserved, exactly as the full weave's
             // passthrough does), anything else vanishes from the output.
-            site.remove(path);
+            site.remove_shared(path);
             if let Some(page) = data_to_page(path) {
-                site.remove(&page);
+                site.remove_shared(&page);
             }
-            match next.get(path) {
+            match next.get_shared(path) {
                 None => {}
-                Some(Resource::Document { .. }) => {
-                    if data_to_page(path).is_some() {
-                        to_weave.push(path.to_string());
+                Some(res) => match **res {
+                    Resource::Document { .. } => {
+                        if data_to_page(path).is_some() {
+                            to_weave.push(path.clone());
+                        }
                     }
-                }
-                Some(raw @ Resource::Raw { .. }) => {
-                    raw_refreshed += 1;
-                    site.put_resource(path, raw.clone());
-                }
+                    Resource::Raw { .. } => {
+                        raw_refreshed += 1;
+                        site.put_shared(path.as_str(), Arc::clone(res));
+                    }
+                },
             }
         }
         // Compiles specs from the cache (pure hits — they did not change)
-        // and validates every locator against the full new data set, just
-        // like the full weave.
-        let rewoven = weave_pages_cached(next, &self.cache, &to_weave)?;
+        // and re-checks only the locators into touched documents: every
+        // other one resolved against the same document under the same
+        // linkbase when the committed sources were checked.
+        let rewoven = weave_pages_cached(next, &self.cache, &to_weave, &touched)?;
         let pages_rewoven = rewoven.len();
         for (page_path, doc, _report) in rewoven {
-            site.put_page(page_path, doc);
+            put_woven_page(&mut site, page_path, doc);
         }
         // Reused = output entries this commit did not write: neither woven
         // from an edited data document nor refreshed raw passthroughs.
@@ -545,8 +573,8 @@ impl SitePublisher {
                     .map_err(CoreError::from)?;
                     let (woven_site, pages_rewoven, pages_reused) = match &self.last_woven {
                         // Data/raw-only batches reweave O(K): every
-                        // untouched page is the previous weave's document,
-                        // cloned with its memoized content hash.
+                        // untouched page is the previous weave's `Arc`,
+                        // memoized content hash included.
                         Some(prev) if !spec_changed => self.incremental_weave(&next, prev)?,
                         // First commit, or a spec changed: any page may
                         // differ — weave the whole site.

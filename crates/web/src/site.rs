@@ -10,6 +10,7 @@ use navsep_xlink::DocumentProvider;
 use navsep_xml::Document;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Media types the site distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -98,6 +99,16 @@ impl Resource {
 
 /// An in-memory site: ordered map of path → [`Resource`].
 ///
+/// Entries are stored as `Arc<Resource>`, so cloning a site is
+/// copy-on-write: the clone shares every resource and only bumps reference
+/// counts. Replacing an entry in either copy never touches the other. The
+/// `*_shared` accessors hand out and take those `Arc`s, which lets the
+/// publisher, its last woven site and the store's epochs hold one copy of
+/// each unchanged resource between them.
+///
+/// Paths are stored without a leading `/`: every insert, lookup and removal
+/// normalizes, so `/a.xml` and `a.xml` name the same entry.
+///
 /// # Examples
 ///
 /// ```
@@ -109,11 +120,23 @@ impl Resource {
 /// site.put_css("museum.css", "h1 { color: navy }");
 /// assert_eq!(site.len(), 2);
 /// assert!(site.get("picasso.xml").is_some());
+///
+/// // A clone shares every resource with the original.
+/// let copy = site.clone();
+/// assert!(std::sync::Arc::ptr_eq(
+///     site.get_shared("picasso.xml").unwrap(),
+///     copy.get_shared("picasso.xml").unwrap(),
+/// ));
 /// # Ok::<(), navsep_xml::ParseXmlError>(())
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Site {
-    resources: BTreeMap<String, Resource>,
+    resources: BTreeMap<String, Arc<Resource>>,
+}
+
+/// The stored form of a path: no leading `/`.
+fn normalize(path: &str) -> &str {
+    path.trim_start_matches('/')
 }
 
 impl Site {
@@ -129,14 +152,13 @@ impl Site {
             MediaType::Html => MediaType::Html,
             _ => MediaType::Xml,
         };
-        self.resources
-            .insert(path, Resource::Document { media_type, doc });
+        self.put_resource(path, Resource::Document { media_type, doc });
     }
 
     /// Stores an XHTML page.
     pub fn put_page(&mut self, path: impl Into<String>, doc: Document) {
-        self.resources.insert(
-            path.into(),
+        self.put_resource(
+            path,
             Resource::Document {
                 media_type: MediaType::Html,
                 doc,
@@ -146,8 +168,8 @@ impl Site {
 
     /// Stores a CSS stylesheet.
     pub fn put_css(&mut self, path: impl Into<String>, css: impl Into<String>) {
-        self.resources.insert(
-            path.into(),
+        self.put_resource(
+            path,
             Resource::Raw {
                 media_type: MediaType::Css,
                 body: Bytes::from(css.into()),
@@ -157,8 +179,8 @@ impl Site {
 
     /// Stores plain text.
     pub fn put_text(&mut self, path: impl Into<String>, text: impl Into<String>) {
-        self.resources.insert(
-            path.into(),
+        self.put_resource(
+            path,
             Resource::Raw {
                 media_type: MediaType::Text,
                 body: Bytes::from(text.into()),
@@ -168,17 +190,39 @@ impl Site {
 
     /// Stores an already-built [`Resource`] under `path` as-is.
     pub fn put_resource(&mut self, path: impl Into<String>, resource: Resource) {
-        self.resources.insert(path.into(), resource);
+        self.put_shared(path, Arc::new(resource));
+    }
+
+    /// Stores a shared resource under `path` without copying it.
+    pub fn put_shared(&mut self, path: impl Into<String>, resource: Arc<Resource>) {
+        let mut path = path.into();
+        if path.starts_with('/') {
+            path = normalize(&path).to_string();
+        }
+        self.resources.insert(path, resource);
     }
 
     /// Looks up a resource.
     pub fn get(&self, path: &str) -> Option<&Resource> {
-        self.resources.get(path.trim_start_matches('/'))
+        self.get_shared(path).map(|res| &**res)
     }
 
-    /// Removes a resource, returning it.
+    /// Looks up a resource as the `Arc` the site holds.
+    pub fn get_shared(&self, path: &str) -> Option<&Arc<Resource>> {
+        self.resources.get(normalize(path))
+    }
+
+    /// Removes a resource, returning it (copied out only when another site
+    /// still shares it; [`remove_shared`](Self::remove_shared) never
+    /// copies).
     pub fn remove(&mut self, path: &str) -> Option<Resource> {
-        self.resources.remove(path.trim_start_matches('/'))
+        self.remove_shared(path)
+            .map(|res| Arc::try_unwrap(res).unwrap_or_else(|shared| (*shared).clone()))
+    }
+
+    /// Removes a resource, returning the `Arc` the site held.
+    pub fn remove_shared(&mut self, path: &str) -> Option<Arc<Resource>> {
+        self.resources.remove(normalize(path))
     }
 
     /// All paths, sorted.
@@ -188,6 +232,12 @@ impl Site {
 
     /// Iterates `(path, resource)` pairs, sorted by path.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Resource)> {
+        self.iter_shared().map(|(path, res)| (path, &**res))
+    }
+
+    /// Iterates `(path, resource)` pairs as the `Arc`s the site holds,
+    /// sorted by path.
+    pub fn iter_shared(&self) -> impl Iterator<Item = (&str, &Arc<Resource>)> {
         self.resources.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -204,14 +254,13 @@ impl Site {
     /// Serializes every resource: `(path, text)` pairs, sorted by path.
     /// Used by the change-impact analyzer to diff whole sites.
     pub fn to_file_map(&self) -> BTreeMap<String, String> {
-        self.resources
-            .iter()
+        self.iter()
             .map(|(path, res)| {
                 let text = match res {
                     Resource::Document { doc, .. } => doc.to_pretty_xml(),
                     Resource::Raw { body, .. } => String::from_utf8_lossy(body).into_owned(),
                 };
-                (path.clone(), text)
+                (path.to_string(), text)
             })
             .collect()
     }
@@ -253,6 +302,47 @@ mod tests {
         let mut s = Site::new();
         s.put_document("dir/a.xml", Document::parse("<a/>").unwrap());
         assert!(s.get("/dir/a.xml").is_some());
+    }
+
+    #[test]
+    fn leading_slash_normalized_on_insert() {
+        let mut s = Site::new();
+        s.put_document("/a.xml", Document::parse("<a/>").unwrap());
+        s.put_css("/style.css", "a { b: c }");
+        s.put_shared("/shared.txt", Arc::new(s.get("style.css").unwrap().clone()));
+        assert_eq!(
+            s.paths().collect::<Vec<_>>(),
+            ["a.xml", "shared.txt", "style.css"]
+        );
+        assert!(s.get("/a.xml").is_some() && s.get("a.xml").is_some());
+        // Both spellings name one entry: a re-put replaces, never duplicates.
+        s.put_document("a.xml", Document::parse("<b/>").unwrap());
+        assert_eq!(s.len(), 3);
+        assert!(s.remove("/a.xml").is_some());
+        assert!(s.get("a.xml").is_none());
+    }
+
+    #[test]
+    fn clone_shares_resources_and_edits_stay_private() {
+        let mut original = Site::new();
+        original.put_document("a.xml", Document::parse("<a/>").unwrap());
+        original.put_document("b.xml", Document::parse("<b/>").unwrap());
+        let mut copy = original.clone();
+        for path in ["a.xml", "b.xml"] {
+            assert!(Arc::ptr_eq(
+                original.get_shared(path).unwrap(),
+                copy.get_shared(path).unwrap()
+            ));
+        }
+        copy.put_document("a.xml", Document::parse("<edited/>").unwrap());
+        let removed = copy.remove("b.xml").unwrap();
+        assert_eq!(
+            removed.to_bytes(),
+            original.get("b.xml").unwrap().to_bytes()
+        );
+        assert!(original.get("a.xml").unwrap().to_bytes().ends_with(b"<a/>"));
+        assert_eq!(original.len(), 2);
+        assert_eq!(copy.len(), 1);
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! raw bytes otherwise): unchanged entries reuse the previous epoch's
 //! `Arc<Published>` verbatim (no render, no allocation), and shards with no
 //! changed pages are not swapped at all — they keep their old snapshot and
-//! its old generation stamp. A K-page edit republishes O(K) pages, not
+//! its old generation stamp. A K-page edit renders O(K) pages, not
 //! O(site); `cargo bench -p navsep-bench --bench server_throughput`
 //! (`incremental_publish` group) quantifies the gap.
 //!
@@ -122,9 +122,12 @@ fn content_key(res: &Resource) -> u64 {
 /// cannot change until the next publish — serializing per `GET` (what
 /// [`SiteHandler`](crate::SiteHandler) must do over its mutable [`Site`])
 /// would redo identical work on every request.
+///
+/// The resource is the same `Arc` the published [`Site`] held, so an epoch
+/// shares its parsed documents with the publisher instead of copying them.
 #[derive(Debug)]
 struct Published {
-    resource: Resource,
+    resource: Arc<Resource>,
     body: bytes::Bytes,
     content_key: u64,
 }
@@ -430,12 +433,12 @@ impl ShardedSiteStore {
         let n = self.shards.len();
         let mut partitions: Vec<BTreeMap<String, Arc<Published>>> =
             (0..n).map(|_| BTreeMap::new()).collect();
-        for (path, res) in site.iter() {
+        for (path, res) in site.iter_shared() {
             // Render once here so every GET of this epoch is allocation-free.
             let published = Published {
                 body: res.to_bytes(),
                 content_key: content_key(res),
-                resource: res.clone(),
+                resource: Arc::clone(res),
             };
             partitions[self.shard_of(path)].insert(path.to_string(), Arc::new(published));
         }
@@ -479,10 +482,13 @@ impl ShardedSiteStore {
     /// served the previous epoch until each shard's pointer swap.
     ///
     /// The content key of a document is its memoized
-    /// [`content_hash`](navsep_xml::Document::content_hash), so publishing
-    /// a site whose unchanged documents are clones of the previous weave
-    /// (what [`SitePublisher`](https://docs.rs/navsep-core) maintains)
-    /// costs O(changed pages), not O(site).
+    /// [`content_hash`](navsep_xml::Document::content_hash), so an
+    /// unchanged entry costs one memo read, one key comparison and one
+    /// `Arc` clone. Publishing a site that shares its unchanged resources
+    /// with the previous weave (what
+    /// [`SitePublisher`](https://docs.rs/navsep-core) maintains) renders
+    /// and allocates bodies for the changed pages only; the walk over the
+    /// path map itself stays O(site) in those cheap steps.
     ///
     /// A publish that changes nothing still advances the global
     /// generation (the epoch ring records it), but no shard is touched.
@@ -522,7 +528,7 @@ impl ShardedSiteStore {
         let mut changed = vec![false; n];
         let mut pages_reused = 0;
         let mut pages_rendered = 0;
-        for (path, res) in site.iter() {
+        for (path, res) in site.iter_shared() {
             let idx = self.shard_of(path);
             let key = content_key(res);
             let entry = match previous[idx].resources.get(path) {
@@ -536,7 +542,7 @@ impl ShardedSiteStore {
                     Arc::new(Published {
                         body: res.to_bytes(),
                         content_key: key,
-                        resource: res.clone(),
+                        resource: Arc::clone(res),
                     })
                 }
             };
@@ -710,13 +716,14 @@ impl ShardedSiteStore {
     }
 
     /// Reassembles the latest epoch's resources into a [`Site`] (e.g. for
-    /// auditing). Clones every resource; not a hot-path operation.
+    /// auditing). The site shares every resource with the epoch; only the
+    /// path map is built.
     pub fn to_site(&self) -> Site {
         let mut site = Site::new();
         if let Some(shards) = self.latest_epoch() {
             for snapshot in shards {
                 for (path, published) in &snapshot.resources {
-                    site.put_resource(path.clone(), published.resource.clone());
+                    site.put_shared(path.clone(), Arc::clone(&published.resource));
                 }
             }
         }

@@ -184,6 +184,32 @@ impl Document {
         }
     }
 
+    /// Releases spare capacity in the node arena and in every node's child,
+    /// attribute and namespace lists. Editing pipelines that grow a document
+    /// (the weaver appends advice into a clone made
+    /// [with headroom](Self::cloned_with_headroom)) leave up to 2× slack;
+    /// long-lived copies — published pages retained across epochs — call
+    /// this once so they hold only what they use.
+    ///
+    /// Content is unchanged, so the memoized
+    /// [`content_hash`](Self::content_hash) and [`index`](Self::index)
+    /// survive (node ids are arena indexes and do not move).
+    pub fn shrink_to_fit(&mut self) {
+        self.nodes.shrink_to_fit();
+        for node in &mut self.nodes {
+            node.children.shrink_to_fit();
+            if let NodeKind::Element {
+                attributes,
+                namespace_decls,
+                ..
+            } = &mut node.kind
+            {
+                attributes.shrink_to_fit();
+                namespace_decls.shrink_to_fit();
+            }
+        }
+    }
+
     /// The synthetic document node (always present).
     pub fn document_node(&self) -> NodeId {
         NodeId(0)
@@ -607,6 +633,38 @@ mod tests {
              <painting id=\"guernica\">Guernica</painting></painter></museum>",
         )
         .unwrap()
+    }
+
+    #[test]
+    fn shrink_to_fit_keeps_bytes_hash_and_index_memo() {
+        let mut doc = sample().cloned_with_headroom(64);
+        let painter = doc.element_by_id("picasso").unwrap();
+        for i in 0..5 {
+            let extra = doc.create_element(painter, "painting");
+            doc.set_attribute(extra, "id", format!("extra-{i}"));
+        }
+        let bytes = doc.to_xml_string();
+        let hash = doc.content_hash();
+        let index = doc.index_arc();
+        assert!(
+            doc.nodes.capacity() > doc.nodes.len(),
+            "headroom left slack"
+        );
+
+        doc.shrink_to_fit();
+        assert_eq!(doc.nodes.capacity(), doc.nodes.len());
+        assert!(doc
+            .nodes
+            .iter()
+            .all(|n| n.children.capacity() == n.children.len()));
+        assert_eq!(doc.to_xml_string(), bytes);
+        assert_eq!(doc.cached_hash.get(), Some(&hash), "hash memo survives");
+        assert_eq!(doc.content_hash(), hash);
+        assert!(
+            std::sync::Arc::ptr_eq(&doc.index_arc(), &index),
+            "index memo survives"
+        );
+        assert_eq!(doc.element_by_id("extra-4"), index.element_by_id("extra-4"));
     }
 
     #[test]
