@@ -35,8 +35,7 @@ impl fmt::Display for AdvicePosition {
 /// Produces advice content for a specific join point.
 pub type ContentFn = Arc<dyn Fn(&JoinPoint<'_>) -> Vec<ElementBuilder> + Send + Sync>;
 
-/// Produces advice content from the page path alone (no document access) —
-/// the streamable subset of [`ContentFn`].
+/// Produces advice content from the page path alone (no document access).
 pub type PageContentFn = Arc<dyn Fn(&str) -> Vec<ElementBuilder> + Send + Sync>;
 
 /// The content an advice inserts.
@@ -47,11 +46,11 @@ pub enum AdviceContent {
     /// Plain text.
     Text(String),
     /// Content computed per join point — the function sees the whole
-    /// document, so rules carrying it force the DOM weave path.
+    /// document.
     Generated(ContentFn),
     /// Content computed from the page path only — e.g. navigation links that
     /// depend on *which* page is being woven but not on its contents (the
-    /// navsep navigation aspect). Streamable: realizable without a DOM.
+    /// navsep navigation aspect).
     PageGenerated(PageContentFn),
 }
 
@@ -77,19 +76,6 @@ impl AdviceContent {
             AdviceContent::Text(t) => Realized::Text(t.clone()),
             AdviceContent::Generated(f) => Realized::Elements(f(jp)),
             AdviceContent::PageGenerated(f) => Realized::Elements(f(jp.page)),
-        }
-    }
-
-    /// Materializes the content knowing only the page path. `None` for
-    /// [`AdviceContent::Generated`], which needs the whole document — the
-    /// streaming weaver never takes this path for such rules (streamability
-    /// analysis routes them to the DOM weaver first).
-    pub fn realize_for_page(&self, page: &str) -> Option<Realized> {
-        match self {
-            AdviceContent::Fragment(els) => Some(Realized::Elements(els.clone())),
-            AdviceContent::Text(t) => Some(Realized::Text(t.clone())),
-            AdviceContent::Generated(_) => None,
-            AdviceContent::PageGenerated(f) => Some(Realized::Elements(f(page))),
         }
     }
 }
@@ -141,7 +127,7 @@ impl Advice {
     }
 
     /// Creates an advice whose content is computed from the page path alone
-    /// (streamable, unlike [`Advice::generated`]).
+    /// (it never reads the page, unlike [`Advice::generated`]).
     pub fn page_generated(
         position: AdvicePosition,
         f: impl Fn(&str) -> Vec<ElementBuilder> + Send + Sync + 'static,
@@ -194,17 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn page_generated_realizes_with_and_without_a_document() {
+    fn page_generated_realizes_from_the_page_path() {
         let adv = Advice::page_generated(AdvicePosition::Append, |page| {
             vec![ElementBuilder::new("span").text(page.to_string())]
         });
-        // Without a document (the streaming path):
-        let Some(Realized::Elements(els)) = adv.content.realize_for_page("p.html") else {
-            panic!("page-generated content must realize from the page path");
-        };
-        let built = els[0].build_document();
-        assert_eq!(built.text_content(built.root_element().unwrap()), "p.html");
-        // With one (the DOM path) — identical result:
         let doc = Document::parse("<a/>").unwrap();
         let jp = JoinPoint {
             page: "p.html",
@@ -216,9 +195,6 @@ mod tests {
         };
         let built = els[0].build_document();
         assert_eq!(built.text_content(built.root_element().unwrap()), "p.html");
-        // Document-dependent content refuses the page-only path.
-        let gen = Advice::generated(AdvicePosition::Append, |_| vec![]);
-        assert!(gen.content.realize_for_page("p.html").is_none());
     }
 
     #[test]

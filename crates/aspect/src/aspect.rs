@@ -102,7 +102,7 @@ impl Aspect {
     }
 
     /// Adds a rule whose content is computed from the page path alone
-    /// (streamable, unlike `generated_rule`).
+    /// (it never reads the page, unlike `generated_rule`).
     pub fn page_generated_rule(
         mut self,
         pointcut: Pointcut,

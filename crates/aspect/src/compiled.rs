@@ -24,7 +24,6 @@ use crate::joinpoint::JoinPoint;
 use crate::pointcut::{glob_match, Pointcut};
 use crate::weaver::{precedence_order, ApplyBook, WeaveEvent, WeaveReport};
 use navsep_xml::{Document, DocumentIndex, NodeId};
-use std::collections::BTreeMap;
 
 /// How a pointcut's possible matches can be enumerated from the index.
 ///
@@ -307,11 +306,6 @@ impl CompiledWeaver {
         &self.aspects
     }
 
-    /// Aspect application order (precedence, then registration).
-    pub(crate) fn apply_order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// Compiled pointcuts for the aspect at `index`, in rule order.
     pub fn rule_plans(&self, index: usize) -> &[CompiledPointcut] {
         &self.plans[index]
@@ -394,25 +388,6 @@ impl CompiledWeaver {
             }
         }
         Ok((out, report))
-    }
-
-    /// Weaves every page of a site map with the compiled rules.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first page that fails to weave.
-    pub fn weave_site(
-        &self,
-        pages: &BTreeMap<String, Document>,
-    ) -> Result<(BTreeMap<String, Document>, Vec<WeaveReport>), WeaveError> {
-        let mut out = BTreeMap::new();
-        let mut reports = Vec::new();
-        for (path, doc) in pages {
-            let (woven, report) = self.weave_page(path, doc)?;
-            out.insert(path.clone(), woven);
-            reports.push(report);
-        }
-        Ok((out, reports))
     }
 }
 

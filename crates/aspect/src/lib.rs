@@ -48,7 +48,6 @@ pub mod compiled;
 pub mod error;
 pub mod joinpoint;
 pub mod pointcut;
-pub mod streaming;
 pub mod weaver;
 pub mod xmlspec;
 
@@ -58,10 +57,7 @@ pub use cache::{spec_hash, AspectCache, SpecCache};
 pub use compiled::{CandidatePlan, Candidates, CompiledPointcut, CompiledWeaver};
 pub use error::{ParsePointcutError, WeaveError};
 pub use joinpoint::{join_points, JoinPoint};
-pub use pointcut::{glob_match, ElementView, Pointcut};
-pub use streaming::{
-    rule_streamability, StreamError, StreamReport, StreamabilityViolation, StreamingWeaver,
-};
+pub use pointcut::{glob_match, Pointcut};
 pub use weaver::{WeaveEvent, WeaveReport, Weaver};
 pub use xmlspec::{parse_aspects, AspectSpecError};
 

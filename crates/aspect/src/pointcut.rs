@@ -91,70 +91,28 @@ impl Pointcut {
     }
 
     /// Whether the pointcut selects `jp`.
-    pub fn matches(&self, jp: &JoinPoint<'_>) -> bool {
-        self.matches_view(jp)
-    }
-
-    /// Whether the pointcut selects the element described by `view`.
     ///
-    /// Every pointcut primitive is element-local (name, un-namespaced
-    /// attributes, page path, is-root), which is what makes streaming
-    /// evaluation possible at all: [`matches`](Pointcut::matches) and the
-    /// streaming weaver both funnel through this one implementation, so the
-    /// two paths cannot diverge on matching semantics.
-    pub fn matches_view(&self, view: &impl ElementView) -> bool {
+    /// Every pointcut primitive is element-local: the element's local
+    /// name, its un-namespaced attributes (default namespaces never apply
+    /// to attributes, matching `Document::attribute`), the page path, and
+    /// whether it is the root element.
+    pub fn matches(&self, jp: &JoinPoint<'_>) -> bool {
+        let attr = |name: &str| jp.doc.attribute(jp.element, name);
         match self {
-            Pointcut::Element(name) => view
-                .local_name()
-                .map(|local| local == name)
-                .unwrap_or(false),
-            Pointcut::Page(glob) => glob_match(glob, view.page()),
-            Pointcut::AttrExists(name) => view.attr(name).is_some(),
-            Pointcut::AttrEquals(name, value) => view.attr(name) == Some(value.as_str()),
-            Pointcut::HasClass(token) => view
-                .attr("class")
-                .map(|c| c.split_ascii_whitespace().any(|t| t == token))
-                .unwrap_or(false),
-            Pointcut::Id(id) => view.attr("id") == Some(id.as_str()),
-            Pointcut::Root => view.is_root(),
-            Pointcut::And(a, b) => a.matches_view(view) && b.matches_view(view),
-            Pointcut::Or(a, b) => a.matches_view(view) || b.matches_view(view),
-            Pointcut::Not(a) => !a.matches_view(view),
+            Pointcut::Element(name) => jp.doc.name(jp.element).is_some_and(|q| q.local() == name),
+            Pointcut::Page(glob) => glob_match(glob, jp.page),
+            Pointcut::AttrExists(name) => attr(name).is_some(),
+            Pointcut::AttrEquals(name, value) => attr(name) == Some(value.as_str()),
+            Pointcut::HasClass(token) => {
+                attr("class").is_some_and(|c| c.split_ascii_whitespace().any(|t| t == token))
+            }
+            Pointcut::Id(id) => attr("id") == Some(id.as_str()),
+            Pointcut::Root => jp.doc.root_element() == Some(jp.element),
+            Pointcut::And(a, b) => a.matches(jp) && b.matches(jp),
+            Pointcut::Or(a, b) => a.matches(jp) || b.matches(jp),
+            Pointcut::Not(a) => !a.matches(jp),
             Pointcut::Always => true,
         }
-    }
-}
-
-/// The element-local facts a pointcut can observe — implemented by
-/// [`JoinPoint`] (DOM-backed) and by the streaming weaver's open-element
-/// window.
-pub trait ElementView {
-    /// The page path being woven.
-    fn page(&self) -> &str;
-    /// The element's local name (`None` for non-element nodes).
-    fn local_name(&self) -> Option<&str>;
-    /// The value of the un-namespaced attribute `name` (default namespaces
-    /// never apply to attributes, matching `Document::attribute`).
-    fn attr(&self, name: &str) -> Option<&str>;
-    /// Whether this element is the document's root element.
-    fn is_root(&self) -> bool;
-}
-
-impl ElementView for JoinPoint<'_> {
-    fn page(&self) -> &str {
-        self.page
-    }
-
-    fn local_name(&self) -> Option<&str> {
-        self.doc.name(self.element).map(|q| q.local())
-    }
-
-    fn attr(&self, name: &str) -> Option<&str> {
-        self.doc.attribute(self.element, name)
-    }
-
-    fn is_root(&self) -> bool {
-        self.doc.root_element() == Some(self.element)
     }
 }
 

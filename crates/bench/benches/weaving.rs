@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use navsep_bench::Setup;
-use navsep_core::{tangled_site, weave_separated, weave_separated_cached, WeaveCache};
+use navsep_core::{tangled_site, weave_separated, Weave, WeaveCache};
 use navsep_hypermodel::AccessStructureKind;
 
 fn bench_weave_pipeline(c: &mut Criterion) {
@@ -34,15 +34,14 @@ fn bench_weave_pipeline_cached(c: &mut Criterion) {
         let setup = Setup::scaled(n, AccessStructureKind::IndexedGuidedTour);
         let sources = setup.separated();
         let cache = WeaveCache::new();
-        weave_separated_cached(&sources, &cache).expect("warm-up weave");
+        let cached = Weave {
+            cache: Some(&cache),
+            ..Weave::default()
+        };
+        cached.run(&sources).expect("warm-up weave");
         group.throughput(Throughput::Elements(n as u64 + 1));
         group.bench_with_input(BenchmarkId::new("pages", n), &sources, |b, sources| {
-            b.iter(|| {
-                weave_separated_cached(sources, &cache)
-                    .expect("pipeline")
-                    .site
-                    .len()
-            })
+            b.iter(|| cached.run(sources).expect("pipeline").site.len())
         });
         // Transform, linkbase, navigation map, and the compiled weaver each
         // miss exactly once (the warm-up); the loop itself never recompiles.

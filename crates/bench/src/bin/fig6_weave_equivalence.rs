@@ -3,7 +3,7 @@
 //! equivalent to the tangled baseline.
 
 use navsep_bench::{banner, print_table, Setup};
-use navsep_core::{assert_site_equivalent, weave_separated_cached, WeaveCache};
+use navsep_core::{assert_site_equivalent, Weave, WeaveCache};
 use navsep_hypermodel::AccessStructureKind;
 
 fn main() {
@@ -23,6 +23,10 @@ fn main() {
     // One cache across all three weaves: the transform compiles once and is
     // reused (steady state); only each access structure's linkbase is new.
     let cache = WeaveCache::new();
+    let cached = Weave {
+        cache: Some(&cache),
+        ..Weave::default()
+    };
     for access in [
         AccessStructureKind::Index,
         AccessStructureKind::GuidedTour,
@@ -32,7 +36,7 @@ fn main() {
         let setup = Setup::paper(access);
         let tangled = setup.tangled();
         let sources = setup.separated();
-        let woven = weave_separated_cached(&sources, &cache).expect("pipeline");
+        let woven = cached.run(&sources).expect("pipeline");
 
         let rows: Vec<Vec<String>> = woven
             .reports

@@ -11,7 +11,7 @@
 use navsep_bench::{banner, print_table};
 use navsep_core::museum::{museum_navigation, paper_museum};
 use navsep_core::spec::contextual_spec;
-use navsep_core::{separated_sources, weave_separated_cached, WeaveCache};
+use navsep_core::{separated_sources, Weave, WeaveCache};
 use navsep_hypermodel::AccessStructureKind;
 use navsep_web::{NavigationSession, Site, SiteHandler};
 use navsep_xml::Document;
@@ -24,8 +24,12 @@ fn main() {
     // Steady-state weave: compiled specs come from (and prime) the cache,
     // so the table reflects reweave cost, not first-compile cost.
     let cache = WeaveCache::new();
-    weave_separated_cached(&sources, &cache).expect("warm-up weave");
-    let woven = weave_separated_cached(&sources, &cache).expect("weaving");
+    let cached = Weave {
+        cache: Some(&cache),
+        ..Weave::default()
+    };
+    cached.run(&sources).expect("warm-up weave");
+    let woven = cached.run(&sources).expect("weaving");
     assert!(cache.hits() >= 3, "steady-state weave must reuse the cache");
 
     banner("T3.1 — the same node, two contexts, two different 'Next's");

@@ -35,8 +35,8 @@ pub enum CoreError {
     /// pipeline's per-page `catch_unwind`; the remaining pages completed
     /// and the pool drained normally.
     WorkerPanic {
-        /// The page being woven when the worker panicked (`"<worker>"` if
-        /// a worker died outside any page).
+        /// The page being woven when the worker panicked (`"<commit>"`
+        /// when a publisher commit panicked outside any page).
         path: String,
         /// The panic payload, when it was a string.
         message: String,

@@ -5,8 +5,7 @@
 //! pipeline and publisher here) and `navsep-core` sits above `navsep-web`
 //! in the crate graph. This module makes `navsep_core::fault` the
 //! canonical path: arm a [`FaultPlan`] and thread it through
-//! [`weave_separated_parallel_faulted`](crate::weave_separated_parallel_faulted),
-//! [`weave_separated_streaming_faulted`](crate::weave_separated_streaming_faulted),
+//! [`Weave::faults`](crate::Weave::faults),
 //! [`SitePublisher::with_faults`](crate::SitePublisher::with_faults), and
 //! [`ShardedSiteStore::arm_faults`](navsep_web::ShardedSiteStore::arm_faults).
 //!

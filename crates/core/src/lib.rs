@@ -11,7 +11,9 @@
 //!   (paper Figs. 3–4);
 //! * [`separated::separated_sources`] — `picasso.xml`, `avignon.xml`,
 //!   `links.xml`, … (Figs. 7–9);
-//! * [`pipeline::weave_separated`] — Fig. 6: transform ⊕ linkbase ⊕ weaver;
+//! * [`pipeline::weave_separated`] — Fig. 6: transform ⊕ linkbase ⊕ weaver,
+//!   with [`pipeline::Weave`] choosing extra aspects, a spec cache, the
+//!   worker count, and a fault plan for the same one executor;
 //! * [`equiv`] — DOM equivalence between the two (experiment F6);
 //! * [`impact`] — change-impact of the Index → Indexed-Guided-Tour switch
 //!   (experiment T1, the paper's "arduous and tedious work");
@@ -63,12 +65,8 @@ pub use fault::{FaultError, FaultKind, FaultPlan, FaultRule};
 pub use impact::{diff_lines, myers_distance, DiffStats, FileImpact, FileStatus, ImpactReport};
 pub use lint::{lint_sources, SourceLintFinding, SourceLintReport};
 pub use pipeline::{
-    navigation_aspect, navigation_aspect_shared, navigation_map, weave_separated,
-    weave_separated_cached, weave_separated_cached_with, weave_separated_parallel,
-    weave_separated_parallel_faulted, weave_separated_streaming, weave_separated_streaming_cached,
-    weave_separated_streaming_cached_faulted, weave_separated_streaming_faulted,
-    weave_separated_streaming_with, weave_separated_with, PageNav, StreamedOutput, WeaveCache,
-    WovenOutput,
+    navigation_aspect, navigation_aspect_shared, navigation_map, weave_separated, PageNav, Weave,
+    WeaveCache, WovenOutput,
 };
 pub use publish::{PublishOutcome, RetryPolicy, SitePublisher, SourceEdit};
 pub use separated::{data_document, separated_sources, separated_sources_with, MUSEUM_TRANSFORM};
@@ -86,5 +84,6 @@ mod tests {
         assert_send_sync::<ImpactReport>();
         assert_send_sync::<SiteSpec>();
         assert_send_sync::<WovenOutput>();
+        assert_send_sync::<Weave<'static>>();
     }
 }

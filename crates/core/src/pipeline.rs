@@ -19,18 +19,18 @@ use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::fragments::{index_list, nav_block, IndexItem, NavAnchor};
 use crate::layout::{data_to_page, ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
-use bytes::Bytes;
 use navsep_aspect::{
-    AdvicePosition, Aspect, AspectCache, CompiledWeaver, Pointcut, SpecCache, StreamReport,
-    WeaveError, WeaveReport, Weaver,
+    AdvicePosition, Aspect, AspectCache, CompiledWeaver, Pointcut, SpecCache, WeaveReport, Weaver,
 };
 use navsep_hypermodel::NavLinkKind;
 use navsep_style::Transform;
-use navsep_web::{MediaType, Resource, Site};
+use navsep_web::{Resource, Site};
 use navsep_xlink::{Endpoint, Linkbase, Resolver, Traversal};
-use navsep_xml::{fnv1a64, ElementBuilder, WriteOptions};
+use navsep_xml::{fnv1a64, ElementBuilder};
 use std::collections::{BTreeMap, BTreeSet};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Renders a `catch_unwind` payload for [`CoreError::WorkerPanic`].
@@ -175,9 +175,7 @@ pub fn navigation_aspect(map: BTreeMap<String, PageNav>) -> Aspect {
 /// reweave does not re-expand the linkbase.
 ///
 /// The rule is *page-generated*: its content depends only on which page is
-/// being woven, never on the page's contents, so the navigation aspect is
-/// streamable ([`weave_separated_streaming`] weaves it without building a
-/// DOM per page).
+/// being woven, never on the page's contents.
 pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
     Aspect::new("navigation").page_generated_rule(
         Pointcut::Element("body".to_string()),
@@ -213,7 +211,7 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 ///
 /// ```
 /// use navsep_core::museum::{museum_navigation, paper_museum};
-/// use navsep_core::pipeline::{weave_separated_cached, WeaveCache};
+/// use navsep_core::pipeline::{Weave, WeaveCache};
 /// use navsep_core::separated::separated_sources;
 /// use navsep_core::spec::paper_spec;
 /// use navsep_hypermodel::AccessStructureKind;
@@ -224,8 +222,9 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 ///     &paper_spec(AccessStructureKind::Index),
 /// )?;
 /// let cache = WeaveCache::new();
-/// let first = weave_separated_cached(&sources, &cache)?;   // compiles specs
-/// let again = weave_separated_cached(&sources, &cache)?;   // pure cache hits
+/// let cached = Weave { cache: Some(&cache), ..Weave::default() };
+/// let first = cached.run(&sources)?;   // compiles specs
+/// let again = cached.run(&sources)?;   // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
 /// assert!(cache.hits() >= 3); // transform + linkbase + navigation map
 /// # Ok::<(), navsep_core::CoreError>(())
@@ -299,14 +298,29 @@ struct CompiledSpecs {
     weaver: Option<Arc<CompiledWeaver>>,
 }
 
-/// The weaver every weave starts from: the navigation aspect plus the
-/// site-defined aspects, in that registration order.
-fn base_weaver(nav_map: &Arc<BTreeMap<String, PageNav>>, site_aspects: &[Aspect]) -> Weaver {
+impl CompiledSpecs {
+    /// The compiled weaver for these specs plus `extra` aspects: the cached
+    /// one when there are no extras, a fresh compile otherwise.
+    fn weaver_with(&self, extra: &[Aspect]) -> Arc<CompiledWeaver> {
+        match &self.weaver {
+            Some(weaver) if extra.is_empty() => Arc::clone(weaver),
+            _ => Arc::new(compile_weaver(&self.nav_map, &self.site_aspects, extra)),
+        }
+    }
+}
+
+/// Compiles the navigation aspect, the site-defined aspects and `extra`,
+/// in that registration order.
+fn compile_weaver(
+    nav_map: &Arc<BTreeMap<String, PageNav>>,
+    site_aspects: &[Aspect],
+    extra: &[Aspect],
+) -> CompiledWeaver {
     let mut weaver = Weaver::new().aspect(navigation_aspect_shared(Arc::clone(nav_map)));
-    for a in site_aspects {
+    for a in site_aspects.iter().chain(extra) {
         weaver.add_aspect(a.clone());
     }
-    weaver
+    weaver.compile()
 }
 
 /// Compiles (or fetches) every spec in `sources`, then validates locator
@@ -394,7 +408,7 @@ fn compile_specs(
             key_bytes.extend_from_slice(&aspects_key.unwrap_or(0).to_le_bytes());
             key_bytes.push(u8::from(aspects_key.is_some()));
             let weaver = cache.weavers.get_or_try_insert(fnv1a64(&key_bytes), || {
-                Ok::<_, CoreError>(base_weaver(&nav_map, &site_aspects).compile())
+                Ok::<_, CoreError>(compile_weaver(&nav_map, &site_aspects, &[]))
             })?;
             Some(weaver)
         }
@@ -453,14 +467,6 @@ fn check_touched_locators(
     Ok(())
 }
 
-/// Stores a freshly woven page into an output site, compacted first: the
-/// weaver leaves spare arena capacity that retained epochs would otherwise
-/// keep alive.
-pub(crate) fn put_woven_page(site: &mut Site, path: String, mut doc: navsep_xml::Document) {
-    doc.shrink_to_fit();
-    site.put_page(path, doc);
-}
-
 /// Passes the raw resources of `sources` (the CSS) through to `site`,
 /// shared rather than copied, media type and all.
 fn pass_raw_through(sources: &Site, site: &mut Site) {
@@ -471,7 +477,8 @@ fn pass_raw_through(sources: &Site, site: &mut Site) {
     }
 }
 
-/// Runs the full pipeline: separated sources in, woven site out.
+/// Runs the full pipeline: separated sources in, woven site out — the
+/// sequential, uncached [`Weave::default`].
 ///
 /// # Errors
 ///
@@ -479,50 +486,119 @@ fn pass_raw_through(sources: &Site, site: &mut Site) {
 ///   or a locator points outside the data set;
 /// * template, XLink, and weave errors from the respective stages.
 pub fn weave_separated(sources: &Site) -> Result<WovenOutput, CoreError> {
-    weave_separated_with(sources, &[])
+    Weave::default().run(sources)
 }
 
-/// Like [`weave_separated`], but composes `extra_aspects` (e.g. a banner or
-/// audit concern) with the navigation aspect.
+/// How one weave runs: which aspects join the navigation aspect, which
+/// cache supplies compiled specs, how many threads weave, and which faults
+/// are injected. [`Weave::default`] is what [`weave_separated`] runs: no
+/// extra aspects, no cache, one worker, no faults.
 ///
-/// # Errors
+/// Every setting changes only the cost, never the result: the woven bytes,
+/// the reports, and the error of a failing weave are the same for every
+/// cache and worker count (the executor laws in `tests/executor_laws.rs`).
 ///
-/// See [`weave_separated`].
-pub fn weave_separated_with(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-) -> Result<WovenOutput, CoreError> {
-    weave_impl(sources, extra_aspects, None)
+/// # Examples
+///
+/// ```
+/// use navsep_core::museum::{museum_navigation, paper_museum};
+/// use navsep_core::pipeline::{weave_separated, Weave, WeaveCache};
+/// use navsep_core::separated::separated_sources;
+/// use navsep_core::spec::paper_spec;
+/// use navsep_hypermodel::AccessStructureKind;
+/// use std::num::NonZeroUsize;
+///
+/// let sources = separated_sources(
+///     &paper_museum(),
+///     &museum_navigation(),
+///     &paper_spec(AccessStructureKind::Index),
+/// )?;
+/// let cache = WeaveCache::new();
+/// let woven = Weave {
+///     cache: Some(&cache),
+///     workers: NonZeroUsize::new(2).unwrap(),
+///     ..Weave::default()
+/// }
+/// .run(&sources)?;
+/// let plain = weave_separated(&sources)?;
+/// assert_eq!(
+///     woven.site.get("guitar.html").unwrap().to_bytes(),
+///     plain.site.get("guitar.html").unwrap().to_bytes(),
+/// );
+/// # Ok::<(), navsep_core::CoreError>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Weave<'a> {
+    /// Aspects composed after the navigation aspect and `aspects.xml`
+    /// (e.g. a banner or audit concern). A non-empty list compiles a fresh
+    /// weaver; the cached one covers only the site's own aspect set.
+    pub aspects: &'a [Aspect],
+    /// Where compiled specs (transform, linkbase, navigation map, aspects,
+    /// compiled weaver) are fetched from and stored into.
+    pub cache: Option<&'a WeaveCache>,
+    /// Threads that transform and weave pages, the calling thread
+    /// included.
+    pub workers: NonZeroUsize,
+    /// Consulted at [`fault::sites::WEAVE_PAGE`] once per page, keyed by
+    /// the page path, before the page is transformed.
+    pub faults: Option<&'a FaultPlan>,
 }
 
-/// Like [`weave_separated`], but compiled specs (transform, linkbase,
-/// navigation map, aspects) are fetched from — and on first use stored
-/// into — `cache`, so a reweave of unchanged specs skips every parse.
-///
-/// The output is identical to [`weave_separated`] (asserted by tests);
-/// only the constant factor changes.
-///
-/// # Errors
-///
-/// See [`weave_separated`].
-pub fn weave_separated_cached(
-    sources: &Site,
-    cache: &WeaveCache,
-) -> Result<WovenOutput, CoreError> {
-    weave_impl(sources, &[], Some(cache))
+impl Default for Weave<'_> {
+    fn default() -> Self {
+        Weave {
+            aspects: &[],
+            cache: None,
+            workers: NonZeroUsize::MIN,
+            faults: None,
+        }
+    }
+}
+
+impl Weave<'_> {
+    /// Weaves `sources` into the served site: every data document is
+    /// transformed into a base page and woven, raw resources (the CSS)
+    /// pass through. Pages and reports come out in page-path order.
+    ///
+    /// # Errors
+    ///
+    /// See [`weave_separated`]. When pages fail, the error is the one of
+    /// the first failing page in page-path order, whatever stage failed
+    /// and whatever the worker count: a page panic becomes
+    /// [`CoreError::WorkerPanic`], an injected fault [`CoreError::Fault`].
+    pub fn run(&self, sources: &Site) -> Result<WovenOutput, CoreError> {
+        let specs = compile_specs(sources, self.cache, None)?;
+        let weaver = specs.weaver_with(self.aspects);
+        let work = sources
+            .iter()
+            .filter(|(path, _)| ![LINKBASE_PATH, TRANSFORM_PATH, ASPECTS_PATH].contains(path))
+            .filter_map(|(path, res)| Some((data_to_page(path)?, res.document()?)))
+            .collect();
+        let mut site = Site::new();
+        let reports = weave_pages(
+            work,
+            &specs.transform,
+            &weaver,
+            self.workers,
+            self.faults,
+            &mut site,
+        )?;
+        pass_raw_through(sources, &mut site);
+        Ok(WovenOutput { site, reports })
+    }
 }
 
 /// Weaves **only** the pages derived from `data_paths` (data-document
-/// paths like `guitar.xml`), fetching compiled specs from `cache` — the
-/// page-level reweave behind [`crate::publish::SitePublisher`]'s
-/// incremental commit path: a K-page edit transforms and weaves K pages,
-/// not the whole site.
+/// paths like `guitar.xml`) into `site`, fetching compiled specs from
+/// `cache` — the page-level reweave behind
+/// [`crate::publish::SitePublisher`]'s incremental commit path: a K-page
+/// edit transforms and weaves K pages, not the whole site, through the same
+/// executor as [`Weave::run`] at one worker. Returns the pages' reports in
+/// page-path order.
 ///
-/// Spec compilation behaves exactly as in [`weave_separated_cached`].
-/// Locator validation covers only the traversals with an endpoint in a
-/// `touched` source path, under the precondition of
-/// [`check_touched_locators`]. Each output triple is
-/// `(page_path, woven_page, report)`.
+/// Spec compilation behaves exactly as in a cached [`Weave`]. Locator
+/// validation covers only the traversals with an endpoint in a `touched`
+/// source path, under the precondition of [`check_touched_locators`].
 ///
 /// # Errors
 ///
@@ -533,110 +609,105 @@ pub(crate) fn weave_pages_cached(
     cache: &WeaveCache,
     data_paths: &[String],
     touched: &BTreeSet<String>,
-) -> Result<Vec<(String, navsep_xml::Document, WeaveReport)>, CoreError> {
+    site: &mut Site,
+) -> Result<Vec<WeaveReport>, CoreError> {
     let specs = compile_specs(sources, Some(cache), Some(touched))?;
-    let weaver = specs
-        .weaver
-        .clone()
-        .unwrap_or_else(|| Arc::new(base_weaver(&specs.nav_map, &specs.site_aspects).compile()));
-    let mut out = Vec::with_capacity(data_paths.len());
-    for path in data_paths {
-        let page_path = data_to_page(path)
-            .ok_or_else(|| CoreError::Pipeline(format!("{path:?} is not a data-document path")))?;
-        let doc = sources
-            .get(path)
-            .and_then(Resource::document)
-            .ok_or_else(|| CoreError::Pipeline(format!("no data document at {path:?}")))?;
-        let base = specs.transform.apply(doc)?;
-        let (woven, report) = weaver.weave_page(&page_path, &base)?;
-        out.push((page_path, woven, report));
-    }
-    Ok(out)
+    let work = data_paths
+        .iter()
+        .map(|path| {
+            let page = data_to_page(path).ok_or_else(|| {
+                CoreError::Pipeline(format!("{path:?} is not a data-document path"))
+            })?;
+            let doc = sources
+                .get(path)
+                .and_then(Resource::document)
+                .ok_or_else(|| CoreError::Pipeline(format!("no data document at {path:?}")))?;
+            Ok((page, doc))
+        })
+        .collect::<Result<_, CoreError>>()?;
+    let weaver = specs.weaver_with(&[]);
+    weave_pages(
+        work,
+        &specs.transform,
+        &weaver,
+        NonZeroUsize::MIN,
+        None,
+        site,
+    )
 }
 
-/// Cached variant of [`weave_separated_with`].
+/// The weave executor: transforms and weaves every `(page path, data
+/// document)` in `work` on `workers` threads, stores the woven pages into
+/// `site`, and returns their reports in page-path order.
 ///
-/// # Errors
+/// The calling thread is worker 0; `workers - 1` scoped threads join it,
+/// and each pulls the next page off one atomic cursor over the
+/// path-sorted list. Every page runs under `catch_unwind` (see
+/// [`weave_page_isolated`]), so a panicking page is that page's error and
+/// no worker dies.
 ///
-/// See [`weave_separated`].
-pub fn weave_separated_cached_with(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    cache: &WeaveCache,
-) -> Result<WovenOutput, CoreError> {
-    weave_impl(sources, extra_aspects, Some(cache))
-}
-
-fn weave_impl(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    cache: Option<&WeaveCache>,
-) -> Result<WovenOutput, CoreError> {
-    let specs = compile_specs(sources, cache, None)?;
-
-    // Stage 1 — presentation: transform each data document into a base page.
-    let mut pages: BTreeMap<String, navsep_xml::Document> = BTreeMap::new();
-    for (path, res) in sources.iter() {
-        if path == LINKBASE_PATH || path == TRANSFORM_PATH || path == ASPECTS_PATH {
-            continue;
-        }
-        let Some(doc) = res.document() else { continue };
-        let Some(page_path) = data_to_page(path) else {
-            continue;
-        };
-        pages.insert(page_path, specs.transform.apply(doc)?);
-    }
-
-    // Stage 2 — navigation: linkbase → per-page fragments → one aspect.
-    // The cached compiled weaver is reusable only for the base aspect set;
-    // extra aspects change the weave, so they force a fresh compile.
-    let weaver = match (&specs.weaver, extra_aspects.is_empty()) {
-        (Some(w), true) => Arc::clone(w),
-        _ => {
-            let mut weaver = base_weaver(&specs.nav_map, &specs.site_aspects);
-            for a in extra_aspects {
-                weaver.add_aspect(a.clone());
+/// The error returned is the first failing page's in path order, whatever
+/// the worker count or finish order. A failure stops every worker from
+/// taking *new* pages, but the cursor hands pages out in path order, so
+/// every page before the failing one was already taken and still finishes.
+fn weave_pages(
+    mut work: Vec<(String, &navsep_xml::Document)>,
+    transform: &Transform,
+    weaver: &CompiledWeaver,
+    workers: NonZeroUsize,
+    faults: Option<&FaultPlan>,
+    site: &mut Site,
+) -> Result<Vec<WeaveReport>, CoreError> {
+    work.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    // `Relaxed` is enough: the cursor publishes no data (`work` is shared
+    // read-only, results come back through `join`), and every operation on
+    // it is ordered in its one modification order, which is all the
+    // first-error argument above needs.
+    let cursor = AtomicUsize::new(0);
+    let pull = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some((page, doc)) = work.get(i) else {
+                return done;
+            };
+            let result = weave_page_isolated(page, doc, transform, weaver, faults);
+            if result.is_err() {
+                cursor.fetch_max(work.len(), Ordering::Relaxed);
             }
-            Arc::new(weaver.compile())
+            done.push((i, result));
         }
     };
-
-    // Stage 3 — weave.
-    let (woven, reports) = weaver.weave_site(&pages)?;
-    let mut site = Site::new();
-    for (path, doc) in woven {
-        put_woven_page(&mut site, path, doc);
+    let mut results = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.get()).map(|_| scope.spawn(pull)).collect();
+        let mut all = pull();
+        for helper in helpers {
+            // Pages panic inside `catch_unwind`; a helper itself cannot.
+            all.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        all
+    });
+    results.sort_unstable_by_key(|(i, _)| *i);
+    let mut reports = Vec::with_capacity(results.len());
+    for (i, result) in results {
+        let (doc, report) = result?;
+        site.put_page(std::mem::take(&mut work[i].0), doc);
+        reports.push(report);
     }
-    // Raw resources (the CSS) pass through untouched, media type and all.
-    pass_raw_through(sources, &mut site);
-    Ok(WovenOutput { site, reports })
-}
-
-/// Like [`weave_separated`], but transforms and weaves pages on `workers`
-/// threads. Output is identical to the sequential pipeline (asserted by
-/// tests); reports are returned in page order.
-///
-/// Every page weave runs under `catch_unwind`: a panicking page becomes
-/// [`CoreError::WorkerPanic`] for that page only — the other workers
-/// finish their slices and the scope drains normally.
-///
-/// # Errors
-///
-/// See [`weave_separated`]. When several pages fail (error or panic), the
-/// error reported is the one for the first failing page in page order —
-/// the same page the sequential pipeline would have stopped at.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_parallel(sources: &Site, workers: usize) -> Result<WovenOutput, CoreError> {
-    weave_separated_parallel_faulted(sources, workers, None)
+    Ok(reports)
 }
 
 /// Transforms and weaves one page with panic isolation: a panic anywhere in
 /// the transform or weave (organic or injected) becomes
 /// [`CoreError::WorkerPanic`] for this page instead of unwinding the
 /// worker.
+///
+/// The woven page comes back compacted: the weaver leaves spare arena
+/// capacity that retained epochs would otherwise keep alive.
 fn weave_page_isolated(
     page_path: &str,
     data_doc: &navsep_xml::Document,
@@ -647,7 +718,9 @@ fn weave_page_isolated(
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         fault::fire(faults, fault::sites::WEAVE_PAGE, page_path).map_err(CoreError::from)?;
         let base = transform.apply(data_doc)?;
-        weaver.weave_page(page_path, &base).map_err(CoreError::from)
+        let (mut woven, report) = weaver.weave_page(page_path, &base)?;
+        woven.shrink_to_fit();
+        Ok((woven, report))
     }));
     match attempt {
         Ok(result) => result,
@@ -656,473 +729,6 @@ fn weave_page_isolated(
             message: panic_message(payload.as_ref()),
         }),
     }
-}
-
-/// [`weave_separated_parallel`] with a [`FaultPlan`] threaded through: each
-/// page consults `faults` at [`fault::sites::WEAVE_PAGE`] before weaving.
-/// With `None` the behavior (and output, byte for byte) is exactly
-/// [`weave_separated_parallel`].
-///
-/// # Errors
-///
-/// See [`weave_separated_parallel`]; injected `Error`/`Disconnect` faults
-/// surface as [`CoreError::Fault`], injected panics as
-/// [`CoreError::WorkerPanic`], both with first-failing-page ordering.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_parallel_faulted(
-    sources: &Site,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<WovenOutput, CoreError> {
-    assert!(workers > 0, "need at least one worker");
-    let specs = compile_specs(sources, None, None)?;
-    let transform = &specs.transform;
-    // Compile once, share across workers (CompiledWeaver is Send + Sync).
-    let weaver = base_weaver(&specs.nav_map, &specs.site_aspects).compile();
-
-    // Partition the data documents round-robin across workers; each worker
-    // transforms and weaves its slice independently (pages are independent).
-    let work: Vec<(String, &navsep_xml::Document)> = sources
-        .iter()
-        .filter(|(path, _)| {
-            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
-        })
-        .filter_map(|(path, res)| {
-            let page = data_to_page(path)?;
-            res.document().map(|d| (page, d))
-        })
-        .collect();
-
-    type PageResult = (
-        String,
-        Result<(navsep_xml::Document, WeaveReport), CoreError>,
-    );
-    let results: Vec<PageResult> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let transform = &transform;
-            let weaver = &weaver;
-            let chunk: Vec<&(String, &navsep_xml::Document)> =
-                work.iter().skip(w).step_by(workers).collect();
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<PageResult> = Vec::with_capacity(chunk.len());
-                for (page_path, data_doc) in chunk {
-                    let woven = weave_page_isolated(page_path, data_doc, transform, weaver, faults);
-                    out.push((page_path.clone(), woven));
-                }
-                out
-            }));
-        }
-        let mut all = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => all.extend(part),
-                // Unreachable while the per-page catch_unwind holds, but a
-                // worker lost some other way must not abort the process:
-                // surface it as a (first-ordered) error and keep draining.
-                Err(payload) => all.push((
-                    String::new(),
-                    Err(CoreError::WorkerPanic {
-                        path: "<worker>".to_string(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                )),
-            }
-        }
-        all
-    });
-
-    let mut pages: BTreeMap<String, (navsep_xml::Document, WeaveReport)> = BTreeMap::new();
-    let mut first_error: Option<(String, CoreError)> = None;
-    for (path, result) in results {
-        match result {
-            Ok(woven) => {
-                pages.insert(path, woven);
-            }
-            Err(error) => match &first_error {
-                // Keep the error of the first failing page in page order —
-                // the page the sequential pipeline would have stopped at.
-                Some((seen, _)) if *seen <= path => {}
-                _ => first_error = Some((path, error)),
-            },
-        }
-    }
-    if let Some((_, error)) = first_error {
-        return Err(error);
-    }
-    let mut site = Site::new();
-    let mut reports = Vec::with_capacity(pages.len());
-    for (path, (doc, report)) in pages {
-        put_woven_page(&mut site, path, doc);
-        reports.push(report);
-    }
-    pass_raw_through(sources, &mut site);
-    Ok(WovenOutput { site, reports })
-}
-
-/// Output of the **streaming** pipeline: like [`WovenOutput`], but pages
-/// that streamed were never materialized as a DOM — they are published as
-/// [`Resource::Raw`] bytes (media type `application/xhtml+xml`), already in
-/// exactly the form [`Resource::to_bytes`] would serialize a woven
-/// [`navsep_xml::Document`] to. Pages whose spec needs whole-document
-/// context fell back to the DOM weaver and are published as documents.
-///
-/// The equivalence law (asserted by `tests/streaming_equiv.rs` and the CI
-/// gate) is that for every page, `to_bytes()` here is byte-identical to
-/// `to_bytes()` of the sequential [`weave_separated`] output.
-#[derive(Debug)]
-pub struct StreamedOutput {
-    /// The served site (streamed pages raw, fallback pages as documents,
-    /// plus raw passthroughs).
-    pub site: Site,
-    /// One report per page, in page order. Streamed pages record events in
-    /// element order (a permutation of the DOM weaver's rule-major order);
-    /// join-point and application counts are identical.
-    pub reports: Vec<WeaveReport>,
-    /// Pages woven by the streaming path (no intermediate DOM).
-    pub pages_streamed: usize,
-    /// Pages routed through the DOM weaver by streamability analysis.
-    pub pages_fallback: usize,
-    /// Pages that *failed* in the streaming weaver (organic error or
-    /// injected fault) and were degraded to the DOM weaver instead of
-    /// erroring. Disjoint from `pages_fallback` (an analysis decision) and
-    /// `pages_streamed`; zero whenever no fault plan is armed and the
-    /// sources are healthy.
-    pub pages_degraded: usize,
-    /// Deepest open-element stack across all streamed pages.
-    pub peak_depth: usize,
-    /// Largest advice window (bytes buffered for open elements) across all
-    /// streamed pages — bounded by depth × rule window, not document size.
-    pub peak_window_bytes: usize,
-}
-
-/// How one page left the streaming pipeline.
-enum PageOut {
-    Streamed {
-        bytes: String,
-        report: StreamReport,
-    },
-    Dom {
-        doc: navsep_xml::Document,
-        report: WeaveReport,
-    },
-    /// The streaming weave failed (organic error or injected fault) and the
-    /// page was re-woven through the DOM weaver instead.
-    Degraded {
-        doc: navsep_xml::Document,
-        report: WeaveReport,
-    },
-}
-
-/// Transforms and weaves one page, streaming when the spec allows it.
-///
-/// A failure *inside the streaming weaver* — a [`StreamError`] or an
-/// injected [`fault::sites::STREAM_PAGE`] fault — degrades the page to the
-/// DOM weaver instead of erroring: the DOM weaver is the spec side of the
-/// streaming ≡ DOM equivalence law, so the degraded output is exactly what
-/// the law demands, and only a DOM-weave failure surfaces as the page's
-/// error (preserving error parity with the sequential pipeline).
-fn stream_or_weave_page(
-    page_path: &str,
-    data_doc: &navsep_xml::Document,
-    transform: &Transform,
-    weaver: &CompiledWeaver,
-    faults: Option<&FaultPlan>,
-) -> Result<PageOut, CoreError> {
-    fault::fire(faults, fault::sites::WEAVE_PAGE, page_path).map_err(CoreError::from)?;
-    let base = transform.apply(data_doc)?;
-    if weaver.streamable_for_page(page_path) {
-        // Error parity with the DOM weaver: it rejects rootless pages
-        // before touching any rule, so the streaming path must too (the
-        // reader would otherwise report a parse error instead).
-        if base.root_element().is_none() {
-            return Err(WeaveError::EmptyPage(page_path.to_string()).into());
-        }
-        let injected: Result<(), fault::FaultError> =
-            fault::fire(faults, fault::sites::STREAM_PAGE, page_path);
-        if injected.is_ok() {
-            let source = base.to_xml(&WriteOptions::default().declaration(false));
-            match weaver.streaming().weave_to_string(page_path, &source) {
-                Ok((bytes, report)) => return Ok(PageOut::Streamed { bytes, report }),
-                Err(_stream_error) => {
-                    // Fall through to the DOM weaver below.
-                }
-            }
-        }
-        let (doc, report) = weaver.weave_page(page_path, &base)?;
-        Ok(PageOut::Degraded { doc, report })
-    } else {
-        let (doc, report) = weaver.weave_page(page_path, &base)?;
-        Ok(PageOut::Dom { doc, report })
-    }
-}
-
-/// Runs the full pipeline **streaming**: pages whose compiled spec passes
-/// streamability analysis go reader-events → woven bytes with no
-/// intermediate DOM; the rest fall back to [`CompiledWeaver::weave_page`].
-/// Pages fan out across `workers` threads over bounded crossbeam channels
-/// (the bound is backpressure: a fast feeder cannot outrun the weavers by
-/// more than the channel capacity).
-///
-/// Output bytes are identical to [`weave_separated`]'s page for page, and
-/// deterministic regardless of `workers`: results are keyed by page path
-/// and assembled in `BTreeMap` order, so scheduling jitter never reorders
-/// the site or the reports.
-///
-/// # Errors
-///
-/// See [`weave_separated`]. When several pages fail, the error reported is
-/// the one for the first failing page in page order (the same page the
-/// sequential pipeline would have stopped at).
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming(
-    sources: &Site,
-    workers: usize,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], None, workers, None)
-}
-
-/// [`weave_separated_streaming`] with a [`FaultPlan`] threaded through:
-/// pages consult `faults` at [`fault::sites::WEAVE_PAGE`] (panic / slow /
-/// error before any weave), [`fault::sites::STREAM_PAGE`] (streaming-weave
-/// failure, degraded to the DOM weaver), and
-/// [`fault::sites::CHANNEL_DISCONNECT`] (a worker abandons its channels;
-/// the in-hand page is lost and reported). With `None` the behavior is
-/// exactly [`weave_separated_streaming`].
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming`]; additionally [`CoreError::WorkerPanic`]
-/// for injected panics (first-failing-page ordering preserved) and
-/// [`CoreError::Pipeline`] when disconnected workers lost pages.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_faulted(
-    sources: &Site,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], None, workers, faults)
-}
-
-/// Cached variant of [`weave_separated_streaming_faulted`] (what
-/// [`SitePublisher::commit_streaming`](crate::SitePublisher::commit_streaming)
-/// runs under an armed plan).
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming_faulted`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_cached_faulted(
-    sources: &Site,
-    cache: &WeaveCache,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], Some(cache), workers, faults)
-}
-
-/// Like [`weave_separated_streaming`], but composes `extra_aspects` with
-/// the navigation aspect (forcing a fresh compile, as
-/// [`weave_separated_with`] does).
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_with(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    workers: usize,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, extra_aspects, None, workers, None)
-}
-
-/// Cached variant of [`weave_separated_streaming`] — compiled specs come
-/// from (and are stored into) `cache`, exactly as in
-/// [`weave_separated_cached`].
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_cached(
-    sources: &Site,
-    cache: &WeaveCache,
-    workers: usize,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], Some(cache), workers, None)
-}
-
-fn streaming_impl(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    cache: Option<&WeaveCache>,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<StreamedOutput, CoreError> {
-    assert!(workers > 0, "need at least one worker");
-    let specs = compile_specs(sources, cache, None)?;
-    let transform = Arc::clone(&specs.transform);
-    let weaver = match (&specs.weaver, extra_aspects.is_empty()) {
-        (Some(w), true) => Arc::clone(w),
-        _ => {
-            let mut weaver = base_weaver(&specs.nav_map, &specs.site_aspects);
-            for a in extra_aspects {
-                weaver.add_aspect(a.clone());
-            }
-            Arc::new(weaver.compile())
-        }
-    };
-
-    let work: Vec<(String, &navsep_xml::Document)> = sources
-        .iter()
-        .filter(|(path, _)| {
-            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
-        })
-        .filter_map(|(path, res)| {
-            let page = data_to_page(path)?;
-            res.document().map(|d| (page, d))
-        })
-        .collect();
-
-    // Worker pool over bounded channels. The feeder paces itself against
-    // the pool (job channel capacity = 2 × workers); the collector drains
-    // results concurrently so a full result channel can never deadlock the
-    // feeder. Results carry their page path, so assembly is deterministic
-    // whatever order workers finish in.
-    type Job<'d> = (String, &'d navsep_xml::Document);
-    let expected = work.len();
-    let results: BTreeMap<String, Result<PageOut, CoreError>> = std::thread::scope(|scope| {
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<Job<'_>>(workers * 2);
-        let (res_tx, res_rx) =
-            crossbeam::channel::bounded::<(String, Result<PageOut, CoreError>)>(workers * 2);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let transform = &transform;
-            let weaver = &weaver;
-            scope.spawn(move || {
-                while let Ok((page, doc)) = job_rx.recv() {
-                    if let Some(plan) = faults {
-                        if plan
-                            .decide(fault::sites::CHANNEL_DISCONNECT, &page)
-                            .is_some()
-                        {
-                            // A crashed worker: drop both channel ends and
-                            // exit with the in-hand job unreported. The
-                            // remaining workers absorb the queue; the
-                            // collector detects the lost page by count.
-                            return;
-                        }
-                    }
-                    // Isolate panics per page, not per worker: the worker
-                    // survives to take the next job either way.
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        stream_or_weave_page(&page, doc, transform, weaver, faults)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(CoreError::WorkerPanic {
-                            path: page.clone(),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    });
-                    if res_tx.send((page, out)).is_err() {
-                        break; // collector gone: the run is already over
-                    }
-                }
-            });
-        }
-        drop(job_rx);
-        drop(res_tx);
-        scope.spawn(move || {
-            for job in work {
-                if job_tx.send(job).is_err() {
-                    break; // every worker exited early
-                }
-            }
-        });
-        let mut results = BTreeMap::new();
-        while let Ok((page, out)) = res_rx.recv() {
-            results.insert(page, out);
-        }
-        results
-    });
-
-    // Workers that disconnected took their in-hand pages with them (and if
-    // *all* workers disconnected, the feeder dropped the rest). Unless a
-    // page-level error will already surface below, report the loss
-    // explicitly rather than returning a silently smaller site.
-    if results.len() != expected && !results.values().any(|r| r.is_err()) {
-        return Err(CoreError::Pipeline(format!(
-            "{} page(s) lost to disconnected weave workers",
-            expected - results.len()
-        )));
-    }
-
-    let mut site = Site::new();
-    let mut reports = Vec::with_capacity(results.len());
-    let mut pages_streamed = 0usize;
-    let mut pages_fallback = 0usize;
-    let mut pages_degraded = 0usize;
-    let mut peak_depth = 0usize;
-    let mut peak_window_bytes = 0usize;
-    for (path, out) in results {
-        // BTreeMap order makes the first error deterministic: it is the
-        // error of the first failing page in page order.
-        match out? {
-            PageOut::Streamed { bytes, report } => {
-                pages_streamed += 1;
-                peak_depth = peak_depth.max(report.peak_depth);
-                peak_window_bytes = peak_window_bytes.max(report.peak_window_bytes);
-                reports.push(report.weave);
-                site.put_resource(
-                    path,
-                    Resource::Raw {
-                        media_type: MediaType::Html,
-                        body: Bytes::from(bytes),
-                    },
-                );
-            }
-            PageOut::Dom { doc, report } => {
-                pages_fallback += 1;
-                reports.push(report);
-                put_woven_page(&mut site, path, doc);
-            }
-            PageOut::Degraded { doc, report } => {
-                pages_degraded += 1;
-                reports.push(report);
-                put_woven_page(&mut site, path, doc);
-            }
-        }
-    }
-    pass_raw_through(sources, &mut site);
-    Ok(StreamedOutput {
-        site,
-        reports,
-        pages_streamed,
-        pages_fallback,
-        pages_degraded,
-        peak_depth,
-        peak_window_bytes,
-    })
 }
 
 #[cfg(test)]
@@ -1137,6 +743,13 @@ mod tests {
         let sources =
             separated_sources(&paper_museum(), &museum_navigation(), &paper_spec(access)).unwrap();
         weave_separated(&sources).unwrap()
+    }
+
+    fn cached(cache: &WeaveCache) -> Weave<'_> {
+        Weave {
+            cache: Some(cache),
+            ..Weave::default()
+        }
     }
 
     fn page_xml(out: &WovenOutput, path: &str) -> String {
@@ -1232,7 +845,12 @@ mod tests {
                 .attr("class", "banner")
                 .text("Museum of navsep")],
         );
-        let out = weave_separated_with(&sources, &[banner]).unwrap();
+        let out = Weave {
+            aspects: &[banner],
+            ..Weave::default()
+        }
+        .run(&sources)
+        .unwrap();
         let xml = page_xml(&out, "guitar.html");
         assert!(xml.contains("Museum of navsep"));
         // Banner prepended, navigation appended.
@@ -1251,8 +869,8 @@ mod tests {
         .unwrap();
         let cache = WeaveCache::new();
         let uncached = weave_separated(&sources).unwrap();
-        let first = weave_separated_cached(&sources, &cache).unwrap();
-        let again = weave_separated_cached(&sources, &cache).unwrap();
+        let first = cached(&cache).run(&sources).unwrap();
+        let again = cached(&cache).run(&sources).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &first.site).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &again.site).unwrap();
         // First cached run compiles (transform + linkbase + nav map +
@@ -1274,8 +892,8 @@ mod tests {
             &paper_spec(AccessStructureKind::IndexedGuidedTour),
         )
         .unwrap();
-        let a = weave_separated_cached(&index, &cache).unwrap();
-        let b = weave_separated_cached(&igt, &cache).unwrap();
+        let a = cached(&cache).run(&index).unwrap();
+        let b = cached(&cache).run(&igt).unwrap();
         // Same transform (1 hit on the second weave); different linkbase
         // (fresh linkbase + nav-map + weaver compilations, no poisoned
         // reuse).
@@ -1298,10 +916,10 @@ mod tests {
         )
         .unwrap();
         let cache = WeaveCache::new();
-        weave_separated_cached(&sources, &cache).unwrap();
+        cached(&cache).run(&sources).unwrap();
         sources.remove("guitar.xml");
         assert!(matches!(
-            weave_separated_cached(&sources, &cache),
+            cached(&cache).run(&sources),
             Err(CoreError::XLink(_))
         ));
     }
@@ -1320,7 +938,12 @@ mod tests {
             vec![ElementBuilder::new("div").attr("class", "banner").text("B")],
         );
         let cache = WeaveCache::new();
-        let out = weave_separated_cached_with(&sources, &[banner], &cache).unwrap();
+        let out = Weave {
+            aspects: &[banner],
+            ..cached(&cache)
+        }
+        .run(&sources)
+        .unwrap();
         assert!(page_xml(&out, "guitar.html").contains("class=\"banner\""));
     }
 
@@ -1411,60 +1034,9 @@ mod aspects_xml_tests {
 }
 
 #[cfg(test)]
-mod parallel_tests {
+mod executor_tests {
     use super::*;
     use crate::equiv::assert_site_equivalent;
-    use crate::museum::{generated_museum, museum_navigation};
-    use crate::separated::separated_sources;
-    use crate::spec::paper_spec;
-    use navsep_hypermodel::AccessStructureKind;
-
-    #[test]
-    fn parallel_output_equals_sequential() {
-        let store = generated_museum(3, 7, 2, 11);
-        let nav = museum_navigation();
-        let sources = separated_sources(
-            &store,
-            &nav,
-            &paper_spec(AccessStructureKind::IndexedGuidedTour),
-        )
-        .unwrap();
-        let seq = weave_separated(&sources).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let par = weave_separated_parallel(&sources, workers).unwrap();
-            assert_site_equivalent(&seq.site, &par.site)
-                .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-            assert_eq!(par.reports.len(), seq.reports.len());
-        }
-    }
-
-    #[test]
-    fn parallel_reports_are_page_ordered() {
-        let store = generated_museum(2, 3, 2, 1);
-        let nav = museum_navigation();
-        let sources =
-            separated_sources(&store, &nav, &paper_spec(AccessStructureKind::Index)).unwrap();
-        let par = weave_separated_parallel(&sources, 3).unwrap();
-        let pages: Vec<&str> = par.reports.iter().map(|r| r.page.as_str()).collect();
-        let mut sorted = pages.clone();
-        sorted.sort();
-        assert_eq!(pages, sorted);
-    }
-
-    #[test]
-    fn parallel_propagates_errors() {
-        let store = generated_museum(1, 2, 2, 1);
-        let nav = museum_navigation();
-        let mut sources =
-            separated_sources(&store, &nav, &paper_spec(AccessStructureKind::Index)).unwrap();
-        sources.remove(TRANSFORM_PATH);
-        assert!(weave_separated_parallel(&sources, 4).is_err());
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
     use crate::museum::{generated_museum, museum_navigation};
     use crate::separated::separated_sources;
     use crate::spec::paper_spec;
@@ -1479,82 +1051,111 @@ mod streaming_tests {
         .unwrap()
     }
 
+    fn on(workers: usize) -> Weave<'static> {
+        Weave {
+            workers: NonZeroUsize::new(workers).unwrap(),
+            ..Weave::default()
+        }
+    }
+
     #[test]
-    fn streaming_site_is_byte_identical_to_sequential() {
+    fn parallel_output_equals_sequential() {
         let sources = museum_sources();
         let seq = weave_separated(&sources).unwrap();
-        for workers in [1usize, 2, 8] {
-            let streamed = weave_separated_streaming(&sources, workers).unwrap();
-            assert_eq!(streamed.site.len(), seq.site.len());
+        for workers in [1usize, 2, 4, 8] {
+            let par = on(workers).run(&sources).unwrap();
+            assert_site_equivalent(&seq.site, &par.site)
+                .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
             for (path, res) in seq.site.iter() {
-                let got = streamed.site.get(path).unwrap();
-                assert_eq!(
-                    got.to_bytes(),
-                    res.to_bytes(),
-                    "served bytes differ at {path} with {workers} workers"
-                );
-                assert_eq!(got.media_type(), res.media_type());
+                assert_eq!(par.site.get(path).unwrap().to_bytes(), res.to_bytes());
             }
-            // The navigation aspect is page-generated, so the standard
-            // pipeline streams every page — no DOM is ever built.
-            assert_eq!(streamed.pages_fallback, 0);
-            assert_eq!(streamed.pages_streamed, seq.reports.len());
-            assert_eq!(streamed.reports.len(), seq.reports.len());
-            assert!(streamed.peak_depth > 0);
+            assert_eq!(par.reports.len(), seq.reports.len());
         }
     }
 
     #[test]
-    fn streamed_reports_match_sequential_counts() {
+    fn reports_are_page_ordered() {
         let sources = museum_sources();
-        let seq = weave_separated(&sources).unwrap();
-        let streamed = weave_separated_streaming(&sources, 3).unwrap();
-        for (s, d) in streamed.reports.iter().zip(&seq.reports) {
-            assert_eq!(s.page, d.page, "reports must come back in page order");
-            assert_eq!(s.join_points, d.join_points);
-            assert_eq!(s.applications(), d.applications());
+        for workers in [1usize, 3] {
+            let par = on(workers).run(&sources).unwrap();
+            let pages: Vec<&str> = par.reports.iter().map(|r| r.page.as_str()).collect();
+            let mut sorted = pages.clone();
+            sorted.sort();
+            assert_eq!(pages, sorted, "workers={workers}");
         }
     }
 
     #[test]
-    fn dynamic_extra_aspect_falls_back_to_dom_weaver() {
-        let sources = museum_sources();
-        let stamp =
-            Aspect::new("stamp").generated_rule(Pointcut::Root, AdvicePosition::Prepend, |jp| {
-                vec![ElementBuilder::new("span").text(jp.page.to_string())]
-            });
-        let seq = weave_separated_with(&sources, std::slice::from_ref(&stamp)).unwrap();
-        let streamed =
-            weave_separated_streaming_with(&sources, std::slice::from_ref(&stamp), 2).unwrap();
-        // Document-dependent advice on every page: streamability analysis
-        // routes all of them through the DOM weaver…
-        assert_eq!(streamed.pages_streamed, 0);
-        assert_eq!(streamed.pages_fallback, seq.reports.len());
-        // …and the output is still identical.
-        for (path, res) in seq.site.iter() {
-            let got = streamed.site.get(path).unwrap();
-            assert_eq!(got.to_bytes(), res.to_bytes(), "{path}");
-        }
-    }
-
-    #[test]
-    fn streaming_propagates_errors() {
+    fn parallel_propagates_errors() {
         let mut sources = museum_sources();
         sources.remove(TRANSFORM_PATH);
         assert!(matches!(
-            weave_separated_streaming(&sources, 4),
+            on(4).run(&sources),
             Err(CoreError::Pipeline(msg)) if msg.contains("transform.xml")
         ));
     }
 
     #[test]
-    fn streaming_cached_reuses_compiled_specs() {
+    fn parallel_cached_reuses_compiled_specs() {
         let sources = museum_sources();
         let cache = WeaveCache::new();
-        let first = weave_separated_streaming_cached(&sources, &cache, 2).unwrap();
-        let again = weave_separated_streaming_cached(&sources, &cache, 2).unwrap();
+        let weave = Weave {
+            cache: Some(&cache),
+            ..on(2)
+        };
+        let first = weave.run(&sources).unwrap();
+        let again = weave.run(&sources).unwrap();
         assert_eq!(first.site.len(), again.site.len());
         assert_eq!(cache.misses(), 4);
         assert_eq!(cache.hits(), 4);
+    }
+
+    #[test]
+    fn first_failing_page_wins_whatever_stage_failed() {
+        // The first page fails in the weave (two aspects replace the same
+        // element), the last one in the transform (nested past the
+        // recursion limit): the first page's error is the one reported, at
+        // every worker count.
+        let mut sources = museum_sources();
+        let pages: Vec<String> = weave_separated(&sources)
+            .unwrap()
+            .reports
+            .into_iter()
+            .map(|r| r.page)
+            .collect();
+        let clash = |name: &str| {
+            Aspect::new(name).text_rule(
+                Pointcut::Page(pages[0].clone()).and(Pointcut::Element("h1".into())),
+                AdvicePosition::ReplaceContent,
+                name,
+            )
+        };
+        let aspects = [clash("rc1"), clash("rc2")];
+        let with_clash = Weave {
+            aspects: &aspects,
+            ..Weave::default()
+        };
+        let weave_error = match with_clash.run(&sources) {
+            Err(error @ CoreError::Weave(_)) => error.to_string(),
+            other => panic!("expected a weave error, got {other:?}"),
+        };
+        let deep = (0..300).fold(ElementBuilder::new("x"), |inner, _| {
+            ElementBuilder::new("x").child(inner)
+        });
+        let last = pages[pages.len() - 1].replace(".html", ".xml");
+        sources.put_document(last, deep.build_document());
+        assert!(matches!(
+            weave_separated(&sources),
+            Err(CoreError::Template(_))
+        ));
+        for workers in [1usize, 2, 8] {
+            let err = Weave {
+                aspects: &aspects,
+                ..on(workers)
+            }
+            .run(&sources)
+            .unwrap_err();
+            assert_eq!(err.to_string(), weave_error, "workers={workers}");
+        }
     }
 }

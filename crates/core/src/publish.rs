@@ -42,10 +42,7 @@ use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::layout::data_to_page;
 use crate::lint::lint_sources;
-use crate::pipeline::{
-    panic_message, put_woven_page, weave_pages_cached, weave_separated_cached,
-    weave_separated_streaming_cached_faulted, WeaveCache,
-};
+use crate::pipeline::{panic_message, weave_pages_cached, Weave, WeaveCache};
 use navsep_web::{IncrementalPublish, Resource, ShardedSiteStore, Site};
 use navsep_xml::Document;
 use std::collections::BTreeSet;
@@ -267,8 +264,8 @@ pub struct SitePublisher {
     /// linkbase, which is what lets the next data-only commit re-check only
     /// the locators into the documents it edits.
     last_woven: Option<Site>,
-    /// Fault plan threaded into the weave; `None` (the default) costs one
-    /// branch per page.
+    /// Fault plan consulted once per commit attempt; `None` (the default)
+    /// costs one branch.
     faults: Option<Arc<FaultPlan>>,
     retry: RetryPolicy,
 }
@@ -289,8 +286,8 @@ impl SitePublisher {
     }
 
     /// Arms a [`FaultPlan`] on this publisher (builder style). The plan is
-    /// consulted at the publisher-level `weave.page` site on every commit
-    /// and threaded into the streaming weave; arm the same plan on the
+    /// consulted at the `weave.page` site once per commit, keyed
+    /// `"publisher.commit"`, before any weave work; arm the same plan on the
     /// store ([`ShardedSiteStore::arm_faults`]) to also hit the
     /// `store.publish` site.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
@@ -378,72 +375,6 @@ impl SitePublisher {
         self.commit_inner(Some(roots))
     }
 
-    /// Like [`commit`](Self::commit), but the weave is always a **full
-    /// streaming publish** fanned out over `workers` threads
-    /// ([`weave_separated_streaming_cached`](crate::pipeline::weave_separated_streaming_cached)):
-    /// pages whose compiled spec
-    /// passes streamability analysis go straight from reader events to
-    /// woven bytes, the rest fall back to the DOM weaver. Served bytes are
-    /// identical to [`commit`](Self::commit)'s, page for page, whatever
-    /// `workers` is, and the batch is still exactly one generation bump.
-    ///
-    /// # Errors
-    ///
-    /// As [`commit`](Self::commit): on error nothing is published, the
-    /// sources are unchanged, and the batch stays staged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn commit_streaming(&mut self, workers: usize) -> Result<PublishOutcome, CoreError> {
-        let mut next = self.sources.clone();
-        for edit in &self.staged {
-            edit.apply(&mut next);
-        }
-        if self.staged.iter().any(Self::edits_spec) {
-            self.cache.clear();
-        }
-        let retry = self.retry;
-        let faults = self.faults.clone();
-        let ((woven, store_publish), retries) = retry.run_counted(|| {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let woven = weave_separated_streaming_cached_faulted(
-                    &next,
-                    &self.cache,
-                    workers,
-                    faults.as_deref(),
-                )?;
-                let store_publish = self
-                    .store
-                    .try_publish_incremental(&woven.site)
-                    .map_err(CoreError::from)?;
-                Ok((woven, store_publish))
-            }));
-            match attempt {
-                Ok(result) => result,
-                Err(payload) => Err(CoreError::WorkerPanic {
-                    path: "<commit>".to_string(),
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
-        })?;
-        let edits_applied = self.staged.len();
-        self.staged.clear();
-        self.sources = next;
-        let resources_published = woven.site.len();
-        let pages_rewoven = woven.reports.len();
-        self.last_woven = Some(woven.site);
-        Ok(PublishOutcome {
-            generation: store_publish.generation,
-            edits_applied,
-            resources_published,
-            pages_rewoven,
-            pages_reused: 0,
-            store_publish,
-            retries,
-        })
-    }
-
     /// Lints the sources **as the staged batch would leave them**, without
     /// weaving or publishing anything — the cheap pre-flight
     /// [`commit_audited`](Self::commit_audited) runs before its weave.
@@ -520,11 +451,8 @@ impl SitePublisher {
         // and re-checks only the locators into touched documents: every
         // other one resolved against the same document under the same
         // linkbase when the committed sources were checked.
-        let rewoven = weave_pages_cached(next, &self.cache, &to_weave, &touched)?;
-        let pages_rewoven = rewoven.len();
-        for (page_path, doc, _report) in rewoven {
-            put_woven_page(&mut site, page_path, doc);
-        }
+        let pages_rewoven =
+            weave_pages_cached(next, &self.cache, &to_weave, &touched, &mut site)?.len();
         // Reused = output entries this commit did not write: neither woven
         // from an edited data document nor refreshed raw passthroughs.
         let pages_reused = site.len().saturating_sub(pages_rewoven + raw_refreshed);
@@ -579,7 +507,11 @@ impl SitePublisher {
                         // First commit, or a spec changed: any page may
                         // differ — weave the whole site.
                         _ => {
-                            let woven = weave_separated_cached(&next, &self.cache)?;
+                            let woven = Weave {
+                                cache: Some(&self.cache),
+                                ..Weave::default()
+                            }
+                            .run(&next)?;
                             let pages_rewoven = woven.reports.len();
                             (woven.site, pages_rewoven, 0)
                         }

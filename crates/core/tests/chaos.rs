@@ -4,12 +4,10 @@
 //! fault subsystem (the vendored proptest derives its seed from the test
 //! name, so every CI run replays the same storms):
 //!
-//! * **Weave pipeline** — under any plan, the parallel and streaming
-//!   weavers either produce output byte-identical to the sequential
-//!   reference or fail with a typed, attributable error
-//!   ([`CoreError::WorkerPanic`] / [`CoreError::Fault`] /
-//!   [`CoreError::Pipeline`] loss reports). Never a torn site, never a
-//!   hang.
+//! * **Weave pipeline** — under any plan, the weave at 1/2/8 workers
+//!   either produces output byte-identical to the unfaulted reference or
+//!   fails with a typed, attributable error ([`CoreError::WorkerPanic`] /
+//!   [`CoreError::Fault`]). Never a torn site, never a hang.
 //! * **Publisher + store** — commits under injected publish failures are
 //!   transactional: the generation advances by exactly one per successful
 //!   commit and not at all per failed one, and a healed publisher always
@@ -21,9 +19,7 @@
 
 use navsep_core::fault::{sites, FaultInjectingHandler, FaultKind, FaultPlan, FaultRule};
 use navsep_core::museum::{generated_museum, museum_navigation};
-use navsep_core::pipeline::{
-    weave_separated, weave_separated_parallel_faulted, weave_separated_streaming_faulted,
-};
+use navsep_core::pipeline::{weave_separated, Weave};
 use navsep_core::publish::{SitePublisher, SourceEdit};
 use navsep_core::separated::separated_sources;
 use navsep_core::spec::paper_spec;
@@ -35,6 +31,7 @@ use navsep_web::{
 };
 use proptest::prelude::*;
 use proptest::TestCaseError;
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -143,11 +140,7 @@ fn assert_byte_identical(reference: &Site, got: &Site, what: &str) -> Result<(),
 
 /// `true` when `error` is one the fault layer is allowed to surface.
 fn typed_fault_error(error: &CoreError) -> bool {
-    match error {
-        CoreError::WorkerPanic { .. } | CoreError::Fault(_) => true,
-        CoreError::Pipeline(message) => message.contains("lost to disconnected weave workers"),
-        _ => false,
-    }
+    matches!(error, CoreError::WorkerPanic { .. } | CoreError::Fault(_))
 }
 
 const WEAVE_KINDS: &[FaultKind] = &[
@@ -173,38 +166,22 @@ proptest! {
         quiet_injected_panics();
         let sources = chaos_sources(painters, paintings, museum_seed);
         let reference = weave_separated(&sources).unwrap();
-        let fault_sites =
-            [sites::WEAVE_PAGE, sites::STREAM_PAGE, sites::CHANNEL_DISCONNECT];
         for workers in [1usize, 2, 8] {
-            let plan = build_plan(plan_seed, &draws, &fault_sites, WEAVE_KINDS);
-            match weave_separated_parallel_faulted(&sources, workers, Some(&plan)) {
+            let plan = build_plan(plan_seed, &draws, &[sites::WEAVE_PAGE], WEAVE_KINDS);
+            let weave = Weave {
+                workers: NonZeroUsize::new(workers).unwrap(),
+                faults: Some(&plan),
+                ..Weave::default()
+            };
+            match weave.run(&sources) {
                 Ok(out) => assert_byte_identical(
                     &reference.site,
                     &out.site,
-                    &format!("parallel/{workers}"),
+                    &format!("workers/{workers}"),
                 )?,
                 Err(error) => prop_assert!(
                     typed_fault_error(&error),
-                    "parallel/{}: untyped error {}", workers, error
-                ),
-            }
-            let plan = build_plan(plan_seed, &draws, &fault_sites, WEAVE_KINDS);
-            match weave_separated_streaming_faulted(&sources, workers, Some(&plan)) {
-                Ok(out) => {
-                    assert_byte_identical(
-                        &reference.site,
-                        &out.site,
-                        &format!("streaming/{workers}"),
-                    )?;
-                    prop_assert_eq!(
-                        out.pages_streamed + out.pages_fallback + out.pages_degraded,
-                        out.reports.len(),
-                        "streaming/{}: page accounting", workers
-                    );
-                }
-                Err(error) => prop_assert!(
-                    typed_fault_error(&error),
-                    "streaming/{}: untyped error {}", workers, error
+                    "workers/{}: untyped error {}", workers, error
                 ),
             }
         }

@@ -4,25 +4,36 @@
 //!
 //! The chaos battery (`tests/chaos.rs`) sweeps random plans over random
 //! sites; this suite pins down the individual contracts it relies on —
-//! panic isolation with sequential-identical first-error ordering,
-//! streaming degradation byte-identity, explicit loss reporting for
-//! disconnected workers, transactional store publishes, and the retry
-//! policy's transient/permanent split.
+//! panic isolation with first-error ordering in page-path order at every
+//! worker count, transactional store publishes, and the retry policy's
+//! transient/permanent split.
 
 use navsep_core::fault::{sites, FaultKind, FaultPlan, FaultRule};
 use navsep_core::museum::{museum_navigation, paper_museum};
-use navsep_core::pipeline::{
-    weave_separated, weave_separated_parallel_faulted, weave_separated_streaming,
-    weave_separated_streaming_faulted,
-};
+use navsep_core::pipeline::{weave_separated, Weave, WovenOutput};
 use navsep_core::publish::{RetryPolicy, SitePublisher, SourceEdit};
 use navsep_core::separated::separated_sources;
 use navsep_core::spec::paper_spec;
 use navsep_core::CoreError;
 use navsep_hypermodel::AccessStructureKind;
 use navsep_web::{ShardedSiteStore, Site};
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Weaves `sources` on `workers` threads with `faults` armed.
+fn faulted(
+    sources: &Site,
+    workers: usize,
+    faults: Option<&FaultPlan>,
+) -> Result<WovenOutput, CoreError> {
+    Weave {
+        workers: NonZeroUsize::new(workers).unwrap(),
+        faults,
+        ..Weave::default()
+    }
+    .run(sources)
+}
 
 /// Keeps injected panics out of the test log. The pipeline's
 /// `catch_unwind` absorbs them, but the default panic hook would still
@@ -75,20 +86,16 @@ fn assert_sites_byte_identical(reference: &Site, got: &Site, what: &str) {
 fn disarmed_faulted_paths_are_byte_identical_to_plain_ones() {
     let sources = paper_sources();
     let reference = weave_separated(&sources).unwrap();
+    let idle = FaultPlan::new(1);
     for workers in [1, 2, 8] {
-        let parallel = weave_separated_parallel_faulted(&sources, workers, None).unwrap();
-        assert_sites_byte_identical(
-            &reference.site,
-            &parallel.site,
-            &format!("parallel/{workers} disarmed"),
-        );
-        let streamed = weave_separated_streaming_faulted(&sources, workers, None).unwrap();
-        assert_sites_byte_identical(
-            &reference.site,
-            &streamed.site,
-            &format!("streaming/{workers} disarmed"),
-        );
-        assert_eq!(streamed.pages_degraded, 0);
+        for plan in [None, Some(&idle)] {
+            let woven = faulted(&sources, workers, plan).unwrap();
+            assert_sites_byte_identical(
+                &reference.site,
+                &woven.site,
+                &format!("{workers} workers, armed: {}", plan.is_some()),
+            );
+        }
     }
 }
 
@@ -99,7 +106,7 @@ fn injected_panic_surfaces_as_worker_panic_for_that_page() {
     let plan = FaultPlan::new(7)
         .rule(FaultRule::at(sites::WEAVE_PAGE, FaultKind::Panic).matching("guitar"));
     for workers in [1, 2, 8] {
-        let err = weave_separated_parallel_faulted(&sources, workers, Some(&plan)).unwrap_err();
+        let err = faulted(&sources, workers, Some(&plan)).unwrap_err();
         match err {
             CoreError::WorkerPanic { path, message } => {
                 assert_eq!(path, "guitar.html", "workers={workers}");
@@ -114,13 +121,12 @@ fn injected_panic_surfaces_as_worker_panic_for_that_page() {
 fn first_error_matches_sequential_stop_page_when_every_page_fails() {
     quiet_injected_panics();
     let sources = paper_sources();
-    // The page the sequential pipeline stops at is the first in page
-    // order; with every page panicking, the parallel pipeline must report
-    // that same page whatever the worker count or finish order.
+    // With every page panicking, the error must be the first page's in
+    // page order, whatever the worker count or finish order.
     let first_page = weave_separated(&sources).unwrap().reports[0].page.clone();
     let plan = FaultPlan::new(11).rule(FaultRule::at(sites::WEAVE_PAGE, FaultKind::Panic));
     for workers in [1, 2, 8] {
-        let err = weave_separated_parallel_faulted(&sources, workers, Some(&plan)).unwrap_err();
+        let err = faulted(&sources, workers, Some(&plan)).unwrap_err();
         match err {
             CoreError::WorkerPanic { path, .. } => {
                 assert_eq!(path, first_page, "workers={workers}")
@@ -133,87 +139,42 @@ fn first_error_matches_sequential_stop_page_when_every_page_fails() {
 #[test]
 fn injected_error_surfaces_as_fault_error() {
     let sources = paper_sources();
-    let plan = FaultPlan::new(3).rule(
-        FaultRule::at(sites::WEAVE_PAGE, FaultKind::Error("disk on fire".into()))
-            .matching("guitar"),
-    );
-    let err = weave_separated_parallel_faulted(&sources, 2, Some(&plan)).unwrap_err();
-    match err {
+    for workers in [1, 2, 8] {
+        let plan = FaultPlan::new(3).rule(
+            FaultRule::at(sites::WEAVE_PAGE, FaultKind::Error("disk on fire".into()))
+                .matching("guitar"),
+        );
+        let err = faulted(&sources, workers, Some(&plan)).unwrap_err();
+        match err {
+            CoreError::Fault(f) => {
+                assert!(f.to_string().contains("disk on fire"));
+                assert!(f.to_string().contains("guitar"));
+            }
+            other => panic!("expected Fault, got {other} (workers={workers})"),
+        }
+        assert!(plan.fired() >= 1);
+    }
+}
+
+#[test]
+fn one_worker_weave_consults_the_weave_page_site() {
+    // `weave.page` is consulted by every weave, the sequential one too: an
+    // unconditional error rule fails a 1-worker run at the first page in
+    // path order, and no later page is ever consulted.
+    let sources = paper_sources();
+    let first_page = weave_separated(&sources).unwrap().reports[0].page.clone();
+    let plan = FaultPlan::new(19).rule(FaultRule::at(
+        sites::WEAVE_PAGE,
+        FaultKind::Error("bad sector".into()),
+    ));
+    match faulted(&sources, 1, Some(&plan)).unwrap_err() {
         CoreError::Fault(f) => {
-            assert!(f.to_string().contains("disk on fire"));
-            assert!(f.to_string().contains("guitar"));
+            assert_eq!(f.site, sites::WEAVE_PAGE);
+            assert_eq!(f.key, first_page);
         }
         other => panic!("expected Fault, got {other}"),
     }
-    assert!(plan.fired() >= 1);
-}
-
-#[test]
-fn streaming_faults_degrade_to_dom_weaver_byte_identically() {
-    let sources = paper_sources();
-    let reference = weave_separated(&sources).unwrap();
-    let clean = weave_separated_streaming(&sources, 2).unwrap();
-    assert!(clean.pages_streamed > 0, "fixture must have streamed pages");
-    // Fail the streaming weaver on EVERY page: all previously-streamed
-    // pages must degrade to the DOM weaver, and the site must still be
-    // byte-identical to the sequential output.
-    let plan = FaultPlan::new(5).rule(FaultRule::at(
-        sites::STREAM_PAGE,
-        FaultKind::Error("stream torn".into()),
-    ));
-    for workers in [1, 2, 8] {
-        let degraded = weave_separated_streaming_faulted(&sources, workers, Some(&plan)).unwrap();
-        assert_eq!(
-            degraded.pages_degraded, clean.pages_streamed,
-            "workers={workers}"
-        );
-        assert_eq!(degraded.pages_streamed, 0, "workers={workers}");
-        assert_sites_byte_identical(
-            &reference.site,
-            &degraded.site,
-            &format!("degraded/{workers}"),
-        );
-    }
-}
-
-#[test]
-fn disconnected_workers_lose_pages_loudly_not_silently() {
-    let sources = paper_sources();
-    // Every worker disconnects on its first job: all in-hand pages are
-    // lost, the feeder's sends fail once every receiver is gone, and the
-    // pipeline must report the loss as an explicit error — and terminate.
-    let plan = FaultPlan::new(13).rule(FaultRule::at(
-        sites::CHANNEL_DISCONNECT,
-        FaultKind::Disconnect,
-    ));
-    for workers in [1, 2, 8] {
-        let err = weave_separated_streaming_faulted(&sources, workers, Some(&plan)).unwrap_err();
-        match err {
-            CoreError::Pipeline(msg) => {
-                assert!(
-                    msg.contains("lost to disconnected weave workers"),
-                    "workers={workers}: {msg}"
-                );
-            }
-            other => panic!("expected Pipeline loss error, got {other}"),
-        }
-    }
-}
-
-#[test]
-fn single_disconnect_loses_only_the_in_hand_page() {
-    let sources = paper_sources();
-    // One worker of several dies once; the survivors drain the queue, so
-    // exactly one page is missing.
-    let plan = FaultPlan::new(17)
-        .rule(FaultRule::at(sites::CHANNEL_DISCONNECT, FaultKind::Disconnect).times(1));
-    let err = weave_separated_streaming_faulted(&sources, 4, Some(&plan)).unwrap_err();
-    match err {
-        CoreError::Pipeline(msg) => {
-            assert!(msg.contains("1 page(s) lost"), "{msg}");
-        }
-        other => panic!("expected Pipeline loss error, got {other}"),
-    }
+    assert_eq!(plan.fired(), 1, "the weave stops at its first failing page");
 }
 
 fn publisher_over(store: &Arc<ShardedSiteStore>) -> SitePublisher {
@@ -315,36 +276,6 @@ fn organic_errors_are_never_retried() {
 }
 
 #[test]
-fn streaming_commit_degrades_under_stream_faults_and_still_publishes() {
-    let reference_store = Arc::new(ShardedSiteStore::new(8));
-    let mut reference = publisher_over(&reference_store);
-    reference.commit().unwrap();
-
-    let store = Arc::new(ShardedSiteStore::new(8));
-    let plan = Arc::new(FaultPlan::new(41).rule(FaultRule::at(
-        sites::STREAM_PAGE,
-        FaultKind::Error("stream torn".into()),
-    )));
-    let mut publisher = publisher_over(&store).with_faults(plan);
-    let outcome = publisher.commit_streaming(2).unwrap();
-    assert_eq!(outcome.generation, 1);
-    // Every page degraded, yet the served bytes equal the DOM commit's at
-    // every published path.
-    let reference_site = weave_separated(reference.sources()).unwrap().site;
-    assert!(reference_site.len() > 0);
-    for (path, res) in reference_site.iter() {
-        let reference_read = reference_store.get(path).unwrap();
-        assert_eq!(reference_read.resource().to_bytes(), res.to_bytes());
-        let got = store.get(path).unwrap();
-        assert_eq!(
-            reference_read.resource().to_bytes(),
-            got.resource().to_bytes(),
-            "degraded streaming commit differs at {path}"
-        );
-    }
-}
-
-#[test]
 fn slow_faults_delay_but_do_not_fail() {
     let sources = paper_sources();
     let plan = FaultPlan::new(43).rule(
@@ -352,7 +283,13 @@ fn slow_faults_delay_but_do_not_fail() {
             .matching("guitar"),
     );
     let reference = weave_separated(&sources).unwrap();
-    let woven = weave_separated_parallel_faulted(&sources, 2, Some(&plan)).unwrap();
-    assert_sites_byte_identical(&reference.site, &woven.site, "slow fault");
-    assert!(plan.fired() >= 1, "the slow site must have been consulted");
+    for workers in [1, 2, 8] {
+        let woven = faulted(&sources, workers, Some(&plan)).unwrap();
+        assert_sites_byte_identical(
+            &reference.site,
+            &woven.site,
+            &format!("slow fault/{workers}"),
+        );
+    }
+    assert_eq!(plan.fired(), 3, "the slow site fired once per run");
 }

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a seeded registry of [`FaultRule`]s keyed by **named
 //! injection sites** (see [`sites`]) that production code consults at the
 //! few places where a real deployment would fail: a page weave panicking, a
-//! page weaving slowly, a parse/weave error, a worker abandoning its
-//! channels, a store publish failing mid-commit, a request handler crashing.
+//! page weaving slowly, a parse/weave error, a store publish failing
+//! mid-commit, a request handler crashing.
 //! The robustness layer (panic-isolated weave workers, the shedding
 //! [`ServerPool`](crate::server::ServerPool), transactional publish with
 //! retry) is *gated* on these injections: chaos tests arm a plan and assert
@@ -45,21 +45,12 @@ use std::time::Duration;
 /// ARCHITECTURE.md "Faults and degradation" section documents what surviving
 /// each one looks like.
 pub mod sites {
-    /// A page weave in any pipeline path (sequential spec application +
-    /// weaving of one page). `Panic` here exercises `catch_unwind`
+    /// A page weave in any pipeline path (transform + weave of one page,
+    /// at any worker count). `Panic` here exercises `catch_unwind`
     /// isolation; `Error` becomes a `CoreError`; `Slow` stalls the worker.
-    /// Key: the page path.
+    /// Key: the page path. A publisher also consults it once per commit,
+    /// keyed `"publisher.commit"`.
     pub const WEAVE_PAGE: &str = "weave.page";
-
-    /// The streaming (event-based) weave of one page, after the page was
-    /// judged streamable. Any fault here degrades the page to the DOM
-    /// weaver instead of erroring. Key: the page path.
-    pub const STREAM_PAGE: &str = "stream.page";
-
-    /// A streaming weave worker abandoning its channels mid-run, as a
-    /// crashed thread would — the job it holds is lost. Only `Disconnect`
-    /// rules are meaningful here. Key: the page path the worker just took.
-    pub const CHANNEL_DISCONNECT: &str = "channel.disconnect";
 
     /// A sharded-store publish, checked under the publish lock after
     /// rendering but before any epoch retention or shard swap — so an
@@ -83,8 +74,8 @@ pub enum FaultKind {
     Slow(Duration),
     /// Fail with a [`FaultError`] carrying this message.
     Error(String),
-    /// Abandon the surrounding channel/worker (sites that cannot
-    /// disconnect treat this as [`FaultKind::Error`]).
+    /// Abandon the surrounding worker: [`sites::SERVER_HANDLE`] treats it
+    /// as a panic, every other site as [`FaultKind::Error`].
     Disconnect,
 }
 
@@ -328,8 +319,8 @@ fn mix(seed: u64, site: &str, key: &str, seq: u32) -> u64 {
 /// Consults `plan` (if armed) at `site`/`key` and *acts* on the outcome:
 /// panics for [`FaultKind::Panic`], sleeps through [`FaultKind::Slow`], and
 /// returns a [`FaultError`] for [`FaultKind::Error`]/[`FaultKind::Disconnect`].
-/// Sites that handle `Disconnect` specially should call
-/// [`FaultPlan::decide`] directly.
+/// Sites that act on a decision differently call [`FaultPlan::decide`]
+/// directly.
 pub fn fire(plan: Option<&FaultPlan>, site: &str, key: &str) -> Result<(), FaultError> {
     let Some(plan) = plan else { return Ok(()) };
     match plan.decide(site, key) {

@@ -456,107 +456,11 @@ fn len_and_paths_stay_coherent_under_publish_churn() {
 }
 
 #[test]
-fn streaming_publishes_match_sequential_bytes_and_generations() {
-    // The parallel streaming publish path must be observably the same
-    // application as the sequential DOM path: drive one edit script
-    // through four publishers — sequential `commit()` plus
-    // `commit_streaming` with 1, 2, and 8 workers — and require identical
-    // global generations after every round and identical served bytes at
-    // every path at the end.
-    use navsep_core::layout::LINKBASE_PATH;
-    use navsep_core::museum::{generated_museum, museum_navigation};
-    use navsep_core::publish::{SitePublisher, SourceEdit};
-    use navsep_core::separated::separated_sources;
-    use navsep_core::spec::paper_spec;
-    use navsep_hypermodel::AccessStructureKind;
-
-    let sources = separated_sources(
-        &generated_museum(3, 5, 2, 7),
-        &museum_navigation(),
-        &paper_spec(AccessStructureKind::IndexedGuidedTour),
-    )
-    .unwrap();
-    let index_links = separated_sources(
-        &generated_museum(3, 5, 2, 7),
-        &museum_navigation(),
-        &paper_spec(AccessStructureKind::Index),
-    )
-    .unwrap()
-    .get(LINKBASE_PATH)
-    .unwrap()
-    .document()
-    .unwrap()
-    .clone();
-
-    let workers_per_rig = [None, Some(1usize), Some(2), Some(8)];
-    let mut rigs: Vec<(Option<usize>, SitePublisher, Arc<ShardedSiteStore>)> = workers_per_rig
-        .into_iter()
-        .map(|workers| {
-            let store = Arc::new(ShardedSiteStore::new(8));
-            let publisher = SitePublisher::new(sources.clone(), Arc::clone(&store));
-            (workers, publisher, store)
-        })
-        .collect();
-
-    // Round 0: initial full publish. Round 1: a data edit. Round 2: a raw
-    // edit. Round 3: a spec (linkbase) edit — the full-reweave path.
-    for round in 0..4u64 {
-        let mut generations = Vec::new();
-        for (workers, publisher, _) in rigs.iter_mut() {
-            match round {
-                1 => {
-                    publisher.stage(SourceEdit::put_document(
-                        "painting-0.xml",
-                        Document::parse(
-                            r#"<painting id="painting-0"><title>Retitled</title><year>1900</year></painting>"#,
-                        )
-                        .unwrap(),
-                    ));
-                }
-                2 => {
-                    publisher.stage(SourceEdit::put_raw("museum.css", "/* restyle */"));
-                }
-                3 => {
-                    publisher.stage(SourceEdit::put_document(LINKBASE_PATH, index_links.clone()));
-                }
-                _ => {}
-            }
-            let outcome = match workers {
-                None => publisher.commit().unwrap(),
-                Some(w) => publisher.commit_streaming(*w).unwrap(),
-            };
-            generations.push(outcome.generation);
-        }
-        assert!(
-            generations.iter().all(|&g| g == round + 1),
-            "round {round}: generations diverged: {generations:?}"
-        );
-    }
-
-    let (_, _, baseline) = &rigs[0];
-    let mut paths = baseline.paths();
-    paths.sort();
-    for (workers, _, store) in &rigs[1..] {
-        let mut got = store.paths();
-        got.sort();
-        assert_eq!(got, paths, "path sets diverged with workers {workers:?}");
-        for path in &paths {
-            assert_eq!(
-                store.get(path).unwrap().body(),
-                baseline.get(path).unwrap().body(),
-                "served bytes diverged at {path} with workers {workers:?}"
-            );
-        }
-    }
-}
-
-#[test]
 fn racing_readers_never_observe_partially_woven_streamed_bodies() {
-    // Streamed pages are emitted incrementally into a buffer, but publish
-    // must stay atomic: readers racing a streaming publisher may only ever
-    // see complete, fully-woven bodies — well-formed XML with the
-    // navigation advice already applied — never a truncated buffer or a
-    // base page the weave hasn't reached yet.
+    // Publish must stay atomic: readers racing a publisher's reweaves may
+    // only ever see complete, fully-woven bodies — well-formed XML with the
+    // navigation advice already applied — never a truncated body or a base
+    // page the weave hasn't reached yet.
     use navsep_core::museum::{museum_navigation, paper_museum};
     use navsep_core::publish::{SitePublisher, SourceEdit};
     use navsep_core::separated::separated_sources;
@@ -573,7 +477,7 @@ fn racing_readers_never_observe_partially_woven_streamed_bodies() {
     .unwrap();
     let store = Arc::new(ShardedSiteStore::new(8));
     let mut publisher = SitePublisher::new(sources, Arc::clone(&store));
-    publisher.commit_streaming(2).unwrap();
+    publisher.commit().unwrap();
     let handler = Arc::new(ShardedSiteHandler::new(Arc::clone(&store)));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -589,9 +493,7 @@ fn racing_readers_never_observe_partially_woven_streamed_bodies() {
                         ))
                         .unwrap(),
                     ));
-                    publisher
-                        .commit_streaming(4)
-                        .expect("streaming reweave cannot fail");
+                    publisher.commit().expect("reweave cannot fail");
                 }
                 stop.store(true, Ordering::Release);
             });

@@ -2,10 +2,9 @@
 //!
 //! [`EventReader`] is the single lexer in the workspace. The DOM parser
 //! ([`Document::parse`](crate::dom::Document::parse)) is a thin consumer
-//! that folds the event stream into a tree, and the streaming weaver
-//! consumes the same stream directly — so the streaming path tokenizes
-//! byte-for-byte identically to the DOM path by construction, including
-//! every error kind, message, and position.
+//! that folds the event stream into a tree, so anything reading the
+//! events directly tokenizes byte-for-byte identically to a parse,
+//! including every error kind, message, and position.
 //!
 //! Covered grammar (the navsep subset of XML 1.0 + Namespaces): elements,
 //! attributes, namespace resolution, text, CDATA, comments, processing

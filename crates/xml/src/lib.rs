@@ -55,10 +55,7 @@ pub use hash::fnv1a64;
 pub use index::DocumentIndex;
 pub use name::{NamespaceDecl, NamespaceStack, QName, XMLNS_NS, XML_NS};
 pub use reader::MAX_DEPTH;
-pub use writer::{
-    fragment_to_string, write_comment_markup, write_pi_markup, write_start_tag_open, WriteOptions,
-    Writer, XML_DECLARATION,
-};
+pub use writer::{fragment_to_string, WriteOptions, Writer, XML_DECLARATION};
 
 #[cfg(test)]
 mod tests {

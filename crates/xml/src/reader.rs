@@ -1,11 +1,9 @@
 //! The XML parser: source text to [`Document`].
 //!
-//! Since the streaming-weave work, all lexing lives in the pull-based
-//! [`EventReader`]; this module is a thin
-//! consumer that folds the event stream into a [`Document`] tree. The DOM
-//! path and the streaming path therefore tokenize identically by
-//! construction — same grammar subset, same error kinds, messages, and
-//! positions.
+//! All lexing lives in the pull-based [`EventReader`]; this module is a
+//! thin consumer that folds the event stream into a [`Document`] tree, so
+//! a parse and an event walk tokenize identically by construction — same
+//! grammar subset, same error kinds, messages, and positions.
 
 use crate::dom::Document;
 use crate::error::ParseXmlError;

@@ -1,9 +1,4 @@
 //! Serialization of a [`Document`] back to XML text.
-//!
-//! The tag-level helpers ([`XML_DECLARATION`], [`write_start_tag_open`],
-//! [`write_comment_markup`], [`write_pi_markup`]) are shared with the
-//! streaming weaver so incrementally-emitted bytes are formatted by the
-//! exact same code as a DOM serialization.
 
 use crate::dom::{Attribute, Document, NodeId, NodeKind};
 use crate::escape::{escape_attr, escape_text};
@@ -15,7 +10,7 @@ pub const XML_DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 /// Writes the open half of a start tag — `<name`, namespace declarations,
 /// and attributes, *without* the closing `>` or `/>` — exactly as
 /// [`Writer`] formats it.
-pub fn write_start_tag_open(
+fn write_start_tag_open(
     out: &mut String,
     name: &QName,
     namespace_decls: &[NamespaceDecl],
@@ -44,7 +39,7 @@ pub fn write_start_tag_open(
 }
 
 /// Writes `<!--text-->` (the body is emitted verbatim, as [`Writer`] does).
-pub fn write_comment_markup(out: &mut String, text: &str) {
+fn write_comment_markup(out: &mut String, text: &str) {
     out.push_str("<!--");
     out.push_str(text);
     out.push_str("-->");
@@ -52,7 +47,7 @@ pub fn write_comment_markup(out: &mut String, text: &str) {
 
 /// Writes `<?target data?>` (the space is omitted when `data` is empty, as
 /// [`Writer`] does).
-pub fn write_pi_markup(out: &mut String, target: &str, data: &str) {
+fn write_pi_markup(out: &mut String, target: &str, data: &str) {
     out.push_str("<?");
     out.push_str(target);
     if !data.is_empty() {

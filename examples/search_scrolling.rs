@@ -12,7 +12,7 @@
 use navsep::aspect::{AdvicePosition, Aspect, Pointcut};
 use navsep::core::museum::{museum_navigation, paper_museum};
 use navsep::core::spec::paper_spec;
-use navsep::core::{separated_sources, weave_separated_with};
+use navsep::core::{separated_sources, Weave};
 use navsep::hypermodel::AccessStructureKind;
 use navsep::web::{NavigationSession, Site, SiteHandler};
 use navsep::xml::{Document, ElementBuilder};
@@ -89,7 +89,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             .attr("class", "audit")
             .text("woven by navsep")],
     );
-    let woven = weave_separated_with(&sources, &[audit])?;
+    let woven = Weave {
+        aspects: &[audit],
+        ..Weave::default()
+    }
+    .run(&sources)?;
     let guitar = woven.site.get("guitar.html").unwrap().document().unwrap();
     let xml = guitar.to_pretty_xml();
     println!("\n--- guitar.html with navigation + audit aspects woven ---");
