@@ -195,8 +195,9 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// * the (linkbase, aspects) pair → the fully [`CompiledWeaver`], with
 ///   every rule pointcut pre-analyzed into its index candidate plan, so a
 ///   steady-state reweave goes straight to candidate resolution;
-/// * `links.xml` → its expanded traversal list, built on the first
-///   incremental commit under that linkbase and used to re-check only the
+/// * `links.xml` → its expanded traversal list, which every cached weave's
+///   locator check walks: the full weave that first compiles a linkbase
+///   fills it, and the incremental commits after it re-check only the
 ///   locators that point into edited documents.
 ///
 /// Locator resolution against the data set is deliberately **not** cached:
@@ -326,7 +327,7 @@ fn compile_weaver(
 /// Compiles (or fetches) every spec in `sources`, then validates locator
 /// resolution against the current data set: every locator, or — given a
 /// cache and the `touched` source paths — only those a batch touching
-/// exactly those paths can have broken (see [`check_touched_locators`]).
+/// exactly those paths can have broken (see [`check_locators`]).
 fn compile_specs(
     sources: &Site,
     cache: Option<&WeaveCache>,
@@ -369,11 +370,9 @@ fn compile_specs(
 
     // Validate locators against the *current* data set before weaving —
     // never cached; the data may have changed under a cached linkbase.
-    match (cache, touched) {
-        (Some(cache), Some(touched)) => {
-            check_touched_locators(sources, links_doc, &linkbase, cache, touched)?;
-        }
-        _ => {
+    match cache {
+        Some(cache) => check_locators(sources, links_doc, &linkbase, cache, touched)?,
+        None => {
             Resolver::new(sources, LINKBASE_PATH).resolve(&linkbase)?;
         }
     }
@@ -434,28 +433,36 @@ fn endpoint_document(endpoint: &Endpoint) -> Option<&str> {
     }
 }
 
-/// Resolves only the traversals with an endpoint in a `touched` document,
-/// in the linkbase's traversal order — the locator check of an incremental
-/// commit.
+/// Resolves the linkbase's traversals against `sources`, in the
+/// linkbase's traversal order, `from` before `to` — the locator check of a
+/// cached weave. The traversal list comes from `cache`, expanded once per
+/// linkbase: the full weave under a new linkbase fills it, and every later
+/// commit under that linkbase walks the same list.
 ///
-/// Precondition: this linkbase already passed the locator check against
-/// `sources` as they were before the `touched` paths were edited (a full
-/// [`Resolver::resolve`], or a touched check chained back to one). Every
-/// skipped endpoint was then resolved against the same document under the
-/// same linkbase, so the full check could fail only at a touched traversal
-/// — and walking those in the same order, `from` before `to`, meets the
-/// same first error.
-fn check_touched_locators(
+/// `touched: None` resolves every traversal, exactly the endpoints
+/// [`Resolver::resolve`] resolves, in the same order, so the first error is
+/// the same. `Some(touched)` resolves only the traversals with an endpoint
+/// in a touched document — the check of an incremental commit — under a
+/// precondition: this linkbase already passed the check against `sources`
+/// as they were before the `touched` paths were edited (a full check, or a
+/// touched check chained back to one). Every skipped endpoint was then
+/// resolved against the same document under the same linkbase, so the full
+/// check could fail only at a touched traversal, and walking those in the
+/// same order meets the same first error.
+fn check_locators(
     sources: &Site,
     links_doc: &navsep_xml::Document,
     linkbase: &Linkbase,
     cache: &WeaveCache,
-    touched: &BTreeSet<String>,
+    touched: Option<&BTreeSet<String>>,
 ) -> Result<(), CoreError> {
     let traversals = cache
         .traversals
         .get_or_try_insert(links_doc.content_hash(), || linkbase.traversals())?;
-    let in_touched = |ep: &Endpoint| endpoint_document(ep).is_some_and(|doc| touched.contains(doc));
+    let in_touched = |ep: &Endpoint| match touched {
+        None => true,
+        Some(touched) => endpoint_document(ep).is_some_and(|doc| touched.contains(doc)),
+    };
     let resolver = Resolver::new(sources, LINKBASE_PATH);
     for t in traversals
         .iter()
@@ -534,7 +541,7 @@ pub struct Weave<'a> {
     /// weaver; the cached one covers only the site's own aspect set.
     pub aspects: &'a [Aspect],
     /// Where compiled specs (transform, linkbase, navigation map, aspects,
-    /// compiled weaver) are fetched from and stored into.
+    /// compiled weaver, traversal list) are fetched from and stored into.
     pub cache: Option<&'a WeaveCache>,
     /// Threads that transform and weave pages, the calling thread
     /// included.
@@ -598,7 +605,7 @@ impl Weave<'_> {
 ///
 /// Spec compilation behaves exactly as in a cached [`Weave`]. Locator
 /// validation covers only the traversals with an endpoint in a `touched`
-/// source path, under the precondition of [`check_touched_locators`].
+/// source path, under the precondition of [`check_locators`].
 ///
 /// # Errors
 ///
@@ -945,6 +952,108 @@ mod tests {
         .run(&sources)
         .unwrap();
         assert!(page_xml(&out, "guitar.html").contains("class=\"banner\""));
+    }
+
+    fn index_sources() -> Site {
+        separated_sources(
+            &paper_museum(),
+            &museum_navigation(),
+            &paper_spec(AccessStructureKind::Index),
+        )
+        .unwrap()
+    }
+
+    /// The paper museum under the Index, with `edit` applied to the text of
+    /// its linkbase.
+    fn with_links(edit: impl Fn(String) -> String) -> Site {
+        let mut sources = index_sources();
+        let links = sources
+            .get(LINKBASE_PATH)
+            .unwrap()
+            .document()
+            .unwrap()
+            .to_xml_string();
+        let edited = edit(links.clone());
+        assert_ne!(edited, links, "the edit must change the linkbase");
+        sources.put_document(LINKBASE_PATH, navsep_xml::Document::parse(&edited).unwrap());
+        sources
+    }
+
+    #[test]
+    fn cached_locator_check_reports_the_uncached_first_error() {
+        // The cached weave walks the cached traversal list; the uncached one
+        // still runs `Resolver::resolve`. Both must stop at the same
+        // traversal with the same message, cold cache or warm.
+        let dangling_pointer = |links: String| {
+            links.replacen(
+                "xlink:href=\"guitar.xml\"",
+                "xlink:href=\"guitar.xml#xpointer(//painting[@id='nope'])\"",
+                1,
+            )
+        };
+        let mut unknown_document = index_sources();
+        unknown_document.remove("avignon.xml");
+        let mut both = with_links(dangling_pointer);
+        both.remove("avignon.xml");
+        let cases = [
+            ("dangling XPointer", with_links(dangling_pointer)),
+            ("unknown document", unknown_document),
+            (
+                "malformed arc",
+                with_links(|links| {
+                    links.replacen("xlink:from=\"index\"", "xlink:from=\"nowhere\"", 1)
+                }),
+            ),
+            ("two errors", both),
+        ];
+        for (case, sources) in cases {
+            let uncached = weave_separated(&sources)
+                .map(|_| ())
+                .expect_err(case)
+                .to_string();
+            let cache = WeaveCache::new();
+            let cold = cached(&cache).run(&sources).map(|_| ()).expect_err(case);
+            assert_eq!(cold.to_string(), uncached, "{case}, cold cache");
+            let warm = cached(&cache).run(&sources).map(|_| ()).expect_err(case);
+            assert_eq!(warm.to_string(), uncached, "{case}, warm cache");
+        }
+    }
+
+    #[test]
+    fn full_weave_fills_the_traversal_list_for_the_next_commit() {
+        use crate::publish::{SitePublisher, SourceEdit};
+        use navsep_web::ShardedSiteStore;
+
+        let sources = index_sources();
+        let igt = separated_sources(
+            &paper_museum(),
+            &museum_navigation(),
+            &paper_spec(AccessStructureKind::IndexedGuidedTour),
+        )
+        .unwrap();
+        let mut publisher = SitePublisher::new(sources, Arc::new(ShardedSiteStore::new(4)));
+        publisher.commit().unwrap();
+        // The linkbase swap weaves the whole site under the new linkbase.
+        let links = igt.get(LINKBASE_PATH).unwrap().document().unwrap().clone();
+        publisher.stage(SourceEdit::put_document(LINKBASE_PATH, links));
+        publisher.commit().unwrap();
+        let after_swap = publisher.cache().entries();
+        // The first data commit under it finds the traversal list cached.
+        let guitar = publisher
+            .sources()
+            .get("guitar.xml")
+            .unwrap()
+            .document()
+            .unwrap()
+            .to_xml_string()
+            .replace("Guitar", "Guitar (retitled)");
+        publisher.stage(SourceEdit::put_document(
+            "guitar.xml",
+            navsep_xml::Document::parse(&guitar).unwrap(),
+        ));
+        let outcome = publisher.commit().unwrap();
+        assert_eq!(outcome.pages_rewoven, 1, "{outcome:?}");
+        assert_eq!(publisher.cache().entries(), after_swap);
     }
 
     #[test]

@@ -460,6 +460,16 @@ impl SitePublisher {
     }
 
     fn commit_inner(&mut self, audit_roots: Option<&[&str]>) -> Result<PublishOutcome, CoreError> {
+        let spec_changed = self.staged.iter().any(Self::edits_spec);
+        // A commit that weaves the whole site first frees the shards the
+        // store has retired (typically the weave before the last one), so
+        // they are not alive beside the new site at its peak. Freeing them
+        // here, before the spec work rather than just before the page
+        // weave, lets that work absorb the allocator's bookkeeping for the
+        // freed memory; the pages then weave into settled memory.
+        if spec_changed || self.last_woven.is_none() {
+            self.store.free_retired();
+        }
         // Work on a copy so a failed weave/audit leaves the committed
         // sources (and the staged batch) intact.
         let mut next = self.sources.clone();
@@ -478,7 +488,6 @@ impl SitePublisher {
         // cache before the weave so a long-lived publisher holds only the
         // live spec set, not every historical version. (On weave failure
         // the cache re-primes on the next commit — a correctness no-op.)
-        let spec_changed = self.staged.iter().any(Self::edits_spec);
         if spec_changed {
             self.cache.clear();
         }

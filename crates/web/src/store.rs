@@ -34,9 +34,10 @@
 //! key ([`navsep_xml::Document::content_hash`] for documents, an FNV of the
 //! raw bytes otherwise): unchanged entries reuse the previous epoch's
 //! `Arc<Published>` verbatim (no render, no allocation), and shards with no
-//! changed pages are not swapped at all — they keep their old snapshot and
-//! its old generation stamp. A K-page edit renders O(K) pages, not
-//! O(site); `cargo bench -p navsep-bench --bench server_throughput`
+//! changed pages are neither rebuilt nor swapped — they keep their old
+//! snapshot and its old generation stamp. A K-page edit renders O(K) pages
+//! and rebuilds the path maps of the shards they live in, not O(site);
+//! `cargo bench -p navsep-bench --bench server_throughput`
 //! (`incremental_publish` group) quantifies the gap.
 //!
 //! ## Retained epochs and time travel
@@ -53,6 +54,33 @@
 //! a [`pin`](ShardedSiteStore::pin) keeps that generation's epoch in the
 //! ring while older *unpinned* epochs are evicted first (the ring stays
 //! bounded: if every candidate is pinned the oldest goes anyway).
+//!
+//! ## Eviction and retirement
+//!
+//! A publish goes live in this order:
+//!
+//! 1. under the ring's write lock, push the new epoch and unlink the
+//!    victims past capacity — nothing is freed while `get_at` readers
+//!    wait on that lock;
+//! 2. swap the changed shard pointers, then store the new generation;
+//! 3. retire the victims: each of their shards that the store owned alone
+//!    (no newer epoch shares it, no read holds it) goes to the back of a
+//!    retired backlog, and the publishing thread frees one backlog shard
+//!    per shard the publish swapped, at least one — the oldest if it was
+//!    retired `shard_count` or more publishes ago, else the newest — plus,
+//!    oldest first, whatever exceeds one site's worth (`shard_count`
+//!    shards).
+//!
+//! Evicting the last epoch that holds a superseded full weave (the
+//! epochs after a `links.xml` swap) therefore costs the publish that
+//! evicts it one shard's free, not the whole weave's, and never before
+//! that publish is visible. The edits after it free the small shards
+//! their own victims retire, newest first. A caller about to build a
+//! whole new site frees the rest with
+//! [`free_retired`](ShardedSiteStore::free_retired) first, so the old
+//! site is not alive beside the new one; without one, every retired shard
+//! is freed within `2 × shard_count` publishes. Dropping the store frees
+//! the backlog at once.
 
 use crate::fault::{self, FaultError, FaultKind, FaultPlan};
 use crate::http::{Method, Request, Response};
@@ -106,12 +134,20 @@ pub fn page_shard_hash(path: &str) -> u64 {
 /// compares across epochs: the document's memoized
 /// [`content_hash`](navsep_xml::Document::content_hash) (or an FNV of the
 /// raw bytes), mixed with the media type so a re-typed body never aliases.
-fn content_key(res: &Resource) -> u64 {
-    let body = match res {
-        Resource::Document { doc, .. } => doc.content_hash(),
-        Resource::Raw { body, .. } => navsep_xml::fnv1a64(body),
+///
+/// A document whose memo is unset (a freshly woven page) is serialized to
+/// compute the key; those bytes come back too, so publishing the page
+/// renders it once, and the memo holds the hash of the very bytes served.
+fn content_key(res: &Resource) -> (u64, Option<bytes::Bytes>) {
+    let (body_key, rendered) = match res {
+        Resource::Document { doc, .. } => {
+            let (hash, xml) = doc.content_hash_with_render();
+            (hash, xml.map(bytes::Bytes::from))
+        }
+        Resource::Raw { body, .. } => (navsep_xml::fnv1a64(body), None),
     };
-    body ^ navsep_xml::fnv1a64(res.media_type().as_str().as_bytes())
+    let key = body_key ^ navsep_xml::fnv1a64(res.media_type().as_str().as_bytes());
+    (key, rendered)
 }
 
 /// One resource as published into an epoch: the parsed form plus its
@@ -130,6 +166,18 @@ struct Published {
     resource: Arc<Resource>,
     body: bytes::Bytes,
     content_key: u64,
+}
+
+impl Published {
+    /// Publishes `resource` under `content_key`, serving `rendered` (what
+    /// [`content_key`] rendered, if anything) or a fresh render.
+    fn new(resource: &Arc<Resource>, content_key: u64, rendered: Option<bytes::Bytes>) -> Self {
+        Published {
+            body: rendered.unwrap_or_else(|| resource.to_bytes()),
+            content_key,
+            resource: Arc::clone(resource),
+        }
+    }
 }
 
 /// One immutable shard snapshot: the resources it owns plus the generation
@@ -282,6 +330,11 @@ pub struct ShardedSiteStore {
     retained: RwLock<VecDeque<Epoch>>,
     /// generation → number of live pins ([`pin`](Self::pin)).
     pins: Mutex<BTreeMap<u64, usize>>,
+    /// Shards of evicted epochs that the store owned alone, each with the
+    /// generation that retired it, oldest first, waiting to be freed by
+    /// later publishes (see the module docs). At most one site's worth —
+    /// `shards.len()` — once a publish returns.
+    retired: Mutex<VecDeque<(u64, Shard)>>,
     /// Ring capacity (≥ 1).
     retain: usize,
     /// Fast-path flag for [`arm_faults`](Self::arm_faults); when false the
@@ -330,6 +383,7 @@ impl ShardedSiteStore {
             publish_lock: Mutex::new(()),
             retained: RwLock::new(VecDeque::new()),
             pins: Mutex::new(BTreeMap::new()),
+            retired: Mutex::new(VecDeque::new()),
             retain,
             faults_armed: AtomicBool::new(false),
             faults: RwLock::new(None),
@@ -435,14 +489,11 @@ impl ShardedSiteStore {
             (0..n).map(|_| BTreeMap::new()).collect();
         for (path, res) in site.iter_shared() {
             // Render once here so every GET of this epoch is allocation-free.
-            let published = Published {
-                body: res.to_bytes(),
-                content_key: content_key(res),
-                resource: Arc::clone(res),
-            };
+            let (key, rendered) = content_key(res);
+            let published = Published::new(res, key, rendered);
             partitions[self.shard_of(path)].insert(path.to_string(), Arc::new(published));
         }
-        let _swap_guard = self.publish_lock.lock();
+        let swap_guard = self.publish_lock.lock();
         // The publish lock serializes publishers, so load+store is race-free
         // here; the counter is advanced only AFTER every shard serves the
         // new epoch, keeping `generation()`'s contract (see its doc).
@@ -460,7 +511,7 @@ impl ShardedSiteStore {
         // observes a generation-N stamp must already be able to `get_at`
         // it (serving an epoch slightly before its swap completes is
         // harmless — it is real published data).
-        self.push_epoch(Epoch {
+        let evicted = self.push_epoch(Epoch {
             generation,
             shards: epoch_shards.clone(),
         });
@@ -468,6 +519,8 @@ impl ShardedSiteStore {
             *shard.write() = snapshot;
         }
         self.generation.store(generation, Ordering::Release);
+        drop(swap_guard);
+        self.retire(evicted, n, generation);
         generation
     }
 
@@ -487,8 +540,9 @@ impl ShardedSiteStore {
     /// `Arc` clone. Publishing a site that shares its unchanged resources
     /// with the previous weave (what
     /// [`SitePublisher`](https://docs.rs/navsep-core) maintains) renders
-    /// and allocates bodies for the changed pages only; the walk over the
-    /// path map itself stays O(site) in those cheap steps.
+    /// and allocates bodies for the changed pages only, and builds path
+    /// maps for the changed shards only; the walk over the site itself
+    /// stays O(site) in those cheap steps.
     ///
     /// A publish that changes nothing still advances the global
     /// generation (the epoch ring records it), but no shard is touched.
@@ -520,54 +574,63 @@ impl ShardedSiteStore {
         consult_faults: bool,
     ) -> Result<IncrementalPublish, FaultError> {
         let n = self.shards.len();
-        let _swap_guard = self.publish_lock.lock();
+        let swap_guard = self.publish_lock.lock();
         let generation = self.generation.load(Ordering::Acquire) + 1;
         let previous: Vec<Arc<Shard>> = self.shards.iter().map(|s| Arc::clone(&s.read())).collect();
-        let mut partitions: Vec<BTreeMap<String, Arc<Published>>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
+        // Bucket the site by shard without copying a path; a shard's map is
+        // rebuilt only when the shard changed.
+        let mut buckets: Vec<Vec<(&str, &Arc<Resource>)>> = vec![Vec::new(); n];
+        for (path, res) in site.iter_shared() {
+            buckets[self.shard_of(path)].push((path, res));
+        }
         let mut changed = vec![false; n];
+        let mut epoch_shards = Vec::with_capacity(n);
         let mut pages_reused = 0;
         let mut pages_rendered = 0;
-        for (path, res) in site.iter_shared() {
-            let idx = self.shard_of(path);
-            let key = content_key(res);
-            let entry = match previous[idx].resources.get(path) {
-                Some(prev) if prev.content_key == key => {
-                    pages_reused += 1;
-                    Arc::clone(prev)
-                }
-                _ => {
-                    pages_rendered += 1;
-                    changed[idx] = true;
-                    Arc::new(Published {
-                        body: res.to_bytes(),
-                        content_key: key,
-                        resource: Arc::clone(res),
-                    })
-                }
-            };
-            partitions[idx].insert(path.to_string(), entry);
-        }
-        // A shard with only removals has every surviving entry reused but a
-        // smaller map — it changed too.
-        for idx in 0..n {
-            if !changed[idx] && partitions[idx].len() != previous[idx].resources.len() {
-                changed[idx] = true;
+        for (idx, bucket) in buckets.into_iter().enumerate() {
+            let prev = &previous[idx];
+            let keyed: Vec<_> = bucket
+                .into_iter()
+                .map(|(path, res)| {
+                    let (key, rendered) = content_key(res);
+                    let reused = prev
+                        .resources
+                        .get(path)
+                        .filter(|published| published.content_key == key);
+                    (path, res, key, rendered, reused)
+                })
+                .collect();
+            // Unchanged: every entry reused and none removed.
+            if keyed.len() == prev.resources.len()
+                && keyed.iter().all(|(.., reused)| reused.is_some())
+            {
+                pages_reused += keyed.len();
+                epoch_shards.push(Arc::clone(prev));
+                continue;
             }
+            changed[idx] = true;
+            let resources = keyed
+                .into_iter()
+                .map(|(path, res, key, rendered, reused)| {
+                    let entry = match reused {
+                        Some(published) => {
+                            pages_reused += 1;
+                            Arc::clone(published)
+                        }
+                        None => {
+                            pages_rendered += 1;
+                            Arc::new(Published::new(res, key, rendered))
+                        }
+                    };
+                    (path.to_string(), entry)
+                })
+                .collect();
+            epoch_shards.push(Arc::new(Shard {
+                generation,
+                resources,
+            }));
         }
-        let mut epoch_shards = Vec::with_capacity(n);
-        let mut shards_swapped = 0;
-        for (idx, resources) in partitions.into_iter().enumerate() {
-            if changed[idx] {
-                epoch_shards.push(Arc::new(Shard {
-                    generation,
-                    resources,
-                }));
-                shards_swapped += 1;
-            } else {
-                epoch_shards.push(Arc::clone(&previous[idx]));
-            }
-        }
+        let shards_swapped = changed.iter().filter(|&&c| c).count();
         // The last moment a publish can abort cleanly: nothing below this
         // point may fail, because retention and shard swaps must land
         // together.
@@ -576,7 +639,7 @@ impl ShardedSiteStore {
         }
         // Retain before swapping, as in `publish`: a generation-N stamp a
         // reader observes must already be servable through `get_at`.
-        self.push_epoch(Epoch {
+        let evicted = self.push_epoch(Epoch {
             generation,
             shards: epoch_shards.clone(),
         });
@@ -586,6 +649,8 @@ impl ShardedSiteStore {
             }
         }
         self.generation.store(generation, Ordering::Release);
+        drop(swap_guard);
+        self.retire(evicted, shards_swapped, generation);
         Ok(IncrementalPublish {
             generation,
             pages_reused,
@@ -595,13 +660,19 @@ impl ShardedSiteStore {
         })
     }
 
-    /// Appends the epoch to the ring, evicting past capacity. Eviction is
-    /// biased by live pins: the oldest *unpinned* epoch goes first; if
-    /// everything old is pinned the oldest goes anyway (the ring is a hard
-    /// bound). The live (newest) epoch is never the victim.
-    fn push_epoch(&self, epoch: Epoch) {
+    /// Appends the epoch to the ring and returns the epochs evicted past
+    /// capacity, still alive: the caller [retires](Self::retire) them once
+    /// its shard swap is done, so nothing is freed under the ring's write
+    /// lock (which every `get_at` waits on). Eviction is biased by live
+    /// pins: the oldest *unpinned* epoch goes first; if everything old is
+    /// pinned the oldest goes anyway (the ring is a hard bound). The live
+    /// (newest) epoch is never the victim.
+    fn push_epoch(&self, epoch: Epoch) -> Vec<Epoch> {
         let mut ring = self.retained.write();
+        #[cfg(test)]
+        let _held = tests::RetainedWriteHeld::enter();
         ring.push_back(epoch);
+        let mut evicted = Vec::new();
         while ring.len() > self.retain {
             let candidates = ring.len() - 1; // never evict the live epoch
             let victim = {
@@ -611,8 +682,67 @@ impl ShardedSiteStore {
                     .position(|e| !pins.contains_key(&e.generation))
                     .unwrap_or(0)
             };
-            ring.remove(victim);
+            evicted.extend(ring.remove(victim));
         }
+        evicted
+    }
+
+    /// Retires the epochs that the publish of `generation` evicted, after
+    /// that publish went live. Their shards that the store owned alone join
+    /// the back of the retired backlog (a shard a newer epoch or an
+    /// in-flight read still holds is only released). Then this thread
+    /// frees one backlog shard per shard the publish `swapped`, at least
+    /// one: the oldest while it is overdue (retired `shard_count` or more
+    /// publishes ago), otherwise the newest. Whatever exceeds one site's
+    /// worth of shards is freed too, oldest first.
+    ///
+    /// Newest-first keeps a just-superseded full weave out of the edits
+    /// that follow it: those free the small shards their own victims
+    /// retire, and the next full weave frees the rest up front (see
+    /// [`free_retired`](Self::free_retired)). Overdue-first bounds how
+    /// long any shard waits when no full weave comes.
+    fn retire(&self, evicted: Vec<Epoch>, swapped: usize, generation: u64) {
+        let site_worth = self.shards.len();
+        let mut freed = Vec::new();
+        {
+            let mut backlog = self.retired.lock();
+            backlog.extend(
+                evicted
+                    .into_iter()
+                    .flat_map(|epoch| epoch.shards)
+                    .filter_map(Arc::into_inner)
+                    .map(|shard| (generation, shard)),
+            );
+            for _ in 0..swapped.max(1) {
+                let overdue = backlog.front().is_some_and(|(retired_at, _)| {
+                    generation.saturating_sub(*retired_at) >= site_worth as u64
+                });
+                freed.extend(if overdue {
+                    backlog.pop_front()
+                } else {
+                    backlog.pop_back()
+                });
+            }
+            while backlog.len() > site_worth {
+                freed.extend(backlog.pop_front());
+            }
+        }
+        drop(freed);
+    }
+
+    /// Frees every retired shard now, returning how many there were. A
+    /// caller about to build a whole new site (a full weave) calls this
+    /// first, so the retired backlog is not still alive beside the new
+    /// site at its peak.
+    pub fn free_retired(&self) -> usize {
+        let freed = std::mem::take(&mut *self.retired.lock());
+        freed.len()
+    }
+
+    /// Shard snapshots evicted from the ring and not yet freed: at most
+    /// [`shard_count`](Self::shard_count) once a publish has returned.
+    pub fn retired_shards(&self) -> usize {
+        self.retired.lock().len()
     }
 
     /// Pins `generation`'s epoch in the retention ring: while any pin on a
@@ -842,6 +972,41 @@ impl Handler for ShardedSiteHandler {
 mod tests {
     use super::*;
     use navsep_xml::Document;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Set while this thread holds the `retained` write lock.
+        static RETAINED_WRITE_HELD: Cell<bool> = const { Cell::new(false) };
+        /// Shards this thread freed, and how many of them it freed while
+        /// holding the `retained` write lock.
+        static SHARDS_FREED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    }
+
+    /// Marks the `retained` write lock held by this thread until dropped.
+    pub(super) struct RetainedWriteHeld;
+
+    impl RetainedWriteHeld {
+        pub(super) fn enter() -> Self {
+            RETAINED_WRITE_HELD.set(true);
+            RetainedWriteHeld
+        }
+    }
+
+    impl Drop for RetainedWriteHeld {
+        fn drop(&mut self) {
+            RETAINED_WRITE_HELD.set(false);
+        }
+    }
+
+    impl Drop for Shard {
+        fn drop(&mut self) {
+            let (freed, under_lock) = SHARDS_FREED.get();
+            SHARDS_FREED.set((
+                freed + 1,
+                under_lock + usize::from(RETAINED_WRITE_HELD.get()),
+            ));
+        }
+    }
 
     fn site(stamp: &str) -> Site {
         let mut s = Site::new();
@@ -1020,6 +1185,27 @@ mod tests {
     }
 
     #[test]
+    fn publishing_renders_a_fresh_page_once_and_seeds_its_hash_from_the_body() {
+        for incremental in [false, true] {
+            let fresh = site("fresh");
+            let store = ShardedSiteStore::new(4);
+            if incremental {
+                store.publish_incremental(&fresh);
+            } else {
+                store.publish(&fresh);
+            }
+            let body = store.get("a.xml").unwrap().body();
+            let doc = fresh.get("a.xml").unwrap().document().unwrap();
+            assert_eq!(&body[..], doc.to_xml_string().as_bytes());
+            // The memo is set, to the hash of the served bytes.
+            assert_eq!(
+                doc.content_hash_with_render(),
+                (navsep_xml::fnv1a64(&body), None)
+            );
+        }
+    }
+
+    #[test]
     fn hash_is_stable() {
         // Shard assignment must not drift between runs or platforms.
         assert_eq!(page_shard_hash("a.xml"), page_shard_hash("a.xml"));
@@ -1192,6 +1378,67 @@ mod tests {
             assert_eq!(r.header_value(DEGRADED_HEADER), Some("latest"), "{junk}");
             assert_eq!(r.header_value(GENERATION_HEADER), Some("3"));
         }
+    }
+
+    /// A site of `pages` pages, each stamped `stamp`.
+    fn pages(pages: usize, stamp: &str) -> Site {
+        let mut s = Site::new();
+        for i in 0..pages {
+            s.put_text(format!("p{i}.txt"), format!("{stamp} {i}"));
+        }
+        s
+    }
+
+    #[test]
+    fn eviction_frees_nothing_under_the_retained_write_lock() {
+        SHARDS_FREED.set((0, 0));
+        let store = ShardedSiteStore::with_retention(4, 2);
+        for round in 0..12 {
+            let site = pages(40, &format!("v{round}"));
+            if round % 3 == 0 {
+                store.publish(&site);
+            } else {
+                let mut edited = site.clone();
+                edited.put_text("p0.txt", format!("edited {round}"));
+                store.publish_incremental(&edited);
+            }
+        }
+        let (freed, under_lock) = SHARDS_FREED.get();
+        assert!(freed > 0, "the churn must free evicted shards");
+        assert_eq!(
+            under_lock, 0,
+            "{under_lock} of {freed} shards freed under the ring lock"
+        );
+    }
+
+    #[test]
+    fn one_page_publishes_free_retired_shards_one_at_a_time() {
+        let store = ShardedSiteStore::with_retention(4, 2);
+        for round in 0..3 {
+            store.publish(&pages(40, &format!("v{round}")));
+            assert_eq!(
+                store.retired_shards(),
+                0,
+                "a full publish frees what it retires"
+            );
+        }
+        // Evicting a full epoch retires its four shards; each one-page
+        // publish frees one shard, and retires the one shard its victim
+        // held alone.
+        let mut site = pages(40, "v2");
+        for round in 0..2 {
+            site.put_text("p0.txt", format!("edited {round}"));
+            let stats = store.publish_incremental(&site);
+            assert_eq!(stats.shards_swapped, 1);
+            assert_eq!(store.retired_shards(), 3, "round {round}");
+        }
+        // Freeing the backlog outright leaves the ring and its replays.
+        let retained = store.retained_generations();
+        let before = store.get_at("p0.txt", retained[0]).unwrap().body();
+        assert_eq!(store.free_retired(), 3);
+        assert_eq!(store.retired_shards(), 0);
+        assert_eq!(store.retained_generations(), retained);
+        assert_eq!(store.get_at("p0.txt", retained[0]).unwrap().body(), before);
     }
 
     #[test]

@@ -19,10 +19,19 @@
 //! A publisher-level end-to-end test replays a data-edit script through
 //! `SitePublisher` (which rides the incremental path) against from-scratch
 //! weaves of the same sources.
+//!
+//! The retirement property holds the store to its memory contract over
+//! random mixes of full and one-page publishes, with and without pins,
+//! watching every published resource through a `Weak` only: nothing is
+//! freed while a retained epoch still serves it, everything evicted is
+//! freed within a bounded number of later publishes (and all of it when
+//! the store is dropped), and the not-yet-freed backlog stays within one
+//! site's worth of shards.
 
-use navsep_web::{ShardedSiteStore, Site};
+use navsep_web::{Resource, ShardedSiteStore, Site};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::{Arc, Weak};
 
 const PATHS: usize = 6;
 
@@ -130,6 +139,123 @@ proptest! {
                     generation
                 );
             }
+        }
+    }
+}
+
+/// One retirement step: `(kind, slot, pin)`. Kind 0 publishes fresh
+/// copies of every page the full way; any other kind rewrites page `slot`
+/// and publishes incrementally. Pin 0 pins the new generation, pin 1
+/// releases the oldest live pin, anything else leaves the pins alone.
+type RetirementStep = (usize, usize, usize);
+
+fn retirement_script() -> impl Strategy<Value = Vec<RetirementStep>> {
+    proptest::collection::vec((0usize..4, 0usize..PATHS, 0usize..4), 1..40)
+}
+
+/// One published resource, watched without keeping it alive.
+struct Watched {
+    path: String,
+    resource: Weak<Resource>,
+    body: bytes::Bytes,
+    /// Every generation stamp a live read of `path` served it under.
+    stamps: BTreeSet<u64>,
+    /// The step after which no retained epoch served it any more.
+    unserved_since: Option<usize>,
+}
+
+/// Records what every page of `site` is served as right now: a resource
+/// seen for the first time starts being watched, a known one gains the
+/// stamp it is served under.
+fn watch_live(store: &ShardedSiteStore, site: &Site, watched: &mut Vec<Watched>) {
+    for slot in 0..PATHS {
+        let path = path_of(slot);
+        let live = site.get_shared(&path).expect("every page is live");
+        let read = store.get(&path).expect("every page is served");
+        match watched
+            .iter_mut()
+            .find(|w| w.resource.as_ptr() == Arc::as_ptr(live))
+        {
+            Some(w) => {
+                w.stamps.insert(read.generation());
+            }
+            None => watched.push(Watched {
+                path,
+                resource: Arc::downgrade(live),
+                body: read.body(),
+                stamps: BTreeSet::from([read.generation()]),
+                unserved_since: None,
+            }),
+        }
+    }
+}
+
+proptest! {
+    /// Retirement: a resource stays alive while any retained epoch serves
+    /// it (and replays its original bytes), is freed within
+    /// `2 × shard_count` publishes of its last epoch leaving the ring, and
+    /// is freed at once when the store is dropped; the store's backlog of
+    /// evicted, not yet freed shards never exceeds one site's worth.
+    #[test]
+    fn evicted_resources_are_freed_promptly_and_never_early(script in retirement_script()) {
+        let store = ShardedSiteStore::with_retention(4, 3);
+        let bound = 2 * store.shard_count();
+        let mut site = Site::new();
+        for slot in 0..PATHS {
+            site.put_text(path_of(slot), format!("first {slot}"));
+        }
+        store.publish(&site);
+        let mut watched = Vec::new();
+        watch_live(&store, &site, &mut watched);
+        let mut pins = VecDeque::new();
+        for (step, &(kind, slot, pin)) in script.iter().enumerate() {
+            if kind == 0 {
+                for s in 0..PATHS {
+                    site.put_text(path_of(s), format!("full {step} of {s}"));
+                }
+                store.publish(&site);
+            } else {
+                site.put_text(path_of(slot), format!("edit {step} of {slot}"));
+                store.publish_incremental(&site);
+            }
+            match pin {
+                0 => pins.push_back(store.pin(store.generation())),
+                1 => drop(pins.pop_front()),
+                _ => {}
+            }
+            prop_assert!(
+                store.retired_shards() <= store.shard_count(),
+                "step {}: {} retired shards", step, store.retired_shards()
+            );
+            watch_live(&store, &site, &mut watched);
+            for w in &mut watched {
+                // Liveness first: the reads below hold what they return.
+                let alive = w.resource.strong_count() > 0;
+                let mut served = false;
+                for &stamp in &w.stamps {
+                    if let Some(read) = store.get_at(&w.path, stamp) {
+                        prop_assert!(alive, "{} @{} served after it was freed", &w.path, stamp);
+                        prop_assert!(std::ptr::eq(read.resource(), w.resource.as_ptr()));
+                        prop_assert_eq!(&read.body(), &w.body, "replay of {} @{}", &w.path, stamp);
+                        served = true;
+                    }
+                }
+                if served {
+                    prop_assert!(w.unserved_since.is_none(), "{} came back", &w.path);
+                    continue;
+                }
+                let since = *w.unserved_since.get_or_insert(step);
+                prop_assert!(
+                    !alive || step < since + bound,
+                    "{} unserved since step {} is still alive at step {}", &w.path, since, step
+                );
+            }
+        }
+        drop(pins);
+        drop(store);
+        drop(site);
+        for w in &watched {
+            prop_assert_eq!(w.resource.strong_count(), 0, "{} outlived the store", &w.path);
         }
     }
 }

@@ -61,6 +61,37 @@ impl crate::Document {
             .cached_hash
             .get_or_init(|| fnv1a64(self.to_xml_string().as_bytes()))
     }
+
+    /// [`content_hash`](crate::Document::content_hash), plus the
+    /// serialization it was computed from when this call is the one that
+    /// computed it (`None` when the memo was already set). A caller that
+    /// needs both the key and the bytes of a fresh document — a store
+    /// publishing a newly woven page — serializes it once instead of
+    /// twice, and the memo holds the hash of exactly those bytes.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use navsep_xml::{fnv1a64, Document};
+    ///
+    /// let doc = Document::parse("<a>one</a>")?;
+    /// let (hash, xml) = doc.content_hash_with_render();
+    /// let xml = xml.expect("first call renders");
+    /// assert_eq!(xml, doc.to_xml_string());
+    /// assert_eq!(hash, fnv1a64(xml.as_bytes()));
+    /// // The memo is seeded: later calls neither render nor rehash.
+    /// assert_eq!(doc.content_hash_with_render(), (hash, None));
+    /// assert_eq!(doc.content_hash(), hash);
+    /// # Ok::<(), navsep_xml::ParseXmlError>(())
+    /// ```
+    pub fn content_hash_with_render(&self) -> (u64, Option<String>) {
+        if let Some(&hash) = self.cached_hash.get() {
+            return (hash, None);
+        }
+        let xml = self.to_xml_string();
+        let hash = *self.cached_hash.get_or_init(|| fnv1a64(xml.as_bytes()));
+        (hash, Some(xml))
+    }
 }
 
 #[cfg(test)]
