@@ -12,7 +12,7 @@
 //! Run: `cargo bench -p navsep-bench --bench parallel_weave`
 //! (`NAVSEP_BENCH_FAST=1` for 5 reps per count instead of 15).
 
-use navsep_bench::{fast_mode, record_bench_section, Setup};
+use navsep_bench::{fast_mode, quartiles, record_bench_section, Setup};
 use navsep_core::{weave_separated, Weave, WeaveCache};
 use navsep_hypermodel::AccessStructureKind;
 use navsep_web::Site;
@@ -46,17 +46,6 @@ fn on(workers: usize, cache: &WeaveCache) -> Weave<'_> {
         workers: NonZeroUsize::new(workers).expect("non-zero"),
         ..Weave::default()
     }
-}
-
-/// `(q1, median, q3)` of `samples`, linearly interpolated.
-fn quartiles(samples: &mut [f64]) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let at = |p: f64| {
-        let x = p * (samples.len() - 1) as f64;
-        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
-        samples[lo] + (samples[hi] - samples[lo]) * (x - lo as f64)
-    };
-    (at(0.25), at(0.5), at(0.75))
 }
 
 fn main() {

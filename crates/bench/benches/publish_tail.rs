@@ -18,7 +18,7 @@
 //! Run: `cargo bench -p navsep-bench --bench publish_tail`
 //! (`NAVSEP_BENCH_FAST=1` for 8 timed cycles instead of 24).
 
-use navsep_bench::{fast_mode, record_bench_section, Setup};
+use navsep_bench::{fast_mode, quartiles, record_bench_section, Setup};
 use navsep_core::layout::LINKBASE_PATH;
 use navsep_core::{SitePublisher, SourceEdit};
 use navsep_hypermodel::AccessStructureKind;
@@ -58,17 +58,6 @@ fn retitled(sources: &Site, path: &str, title: &str) -> Document {
     let open = xml.find("<title>").expect("painting has a title") + "<title>".len();
     let close = open + xml[open..].find("</title>").expect("closed title");
     Document::parse(&format!("{}{title}{}", &xml[..open], &xml[close..])).expect("retitled parses")
-}
-
-/// `(q1, median, q3)` of `samples`, linearly interpolated.
-fn quartiles(samples: &mut [f64]) -> (f64, f64, f64) {
-    samples.sort_by(f64::total_cmp);
-    let at = |p: f64| {
-        let x = p * (samples.len() - 1) as f64;
-        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
-        samples[lo] + (samples[hi] - samples[lo]) * (x - lo as f64)
-    };
-    (at(0.25), at(0.5), at(0.75))
 }
 
 fn position_name(position: usize) -> String {

@@ -8,15 +8,23 @@
 //! rate and p50/p99 of the requests that were served — substantiate that
 //! the served requests stay fast precisely because the excess was shed.
 //!
-//! Results land in the `server_overload` section of `BENCH_weave.json`.
+//! It also times the pool's own per-request floor: one `request_sync`
+//! round trip through an instant handler (queue push, worker wake,
+//! handler, reply channel), as median and interquartile range.
+//!
+//! Results land in the `server_overload` section of `BENCH_weave.json`,
+//! with the core count.
+//!
+//! Run: `cargo bench -p navsep-bench --bench server_overload`
+//! (`NAVSEP_BENCH_FAST=1` for fewer requests).
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use navsep_bench::{fast_mode, record_bench_section, Setup};
+use navsep_bench::{fast_mode, quartiles, record_bench_section, Setup};
 use navsep_core::weave_separated;
 use navsep_hypermodel::AccessStructureKind;
 use navsep_web::{
     Handler, PoolConfig, Request, Response, ServerPool, ShardedSiteHandler, ShardedSiteStore,
 };
+use std::num::NonZeroUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -130,25 +138,29 @@ fn drive(
     }
 }
 
-fn bench_pool_request_latency(c: &mut Criterion) {
-    // The per-request floor through the pool machinery itself (channel
-    // hop, worker dispatch, reply channel) with an instant handler.
+/// `(q1, median, q3)` in µs of single `request_sync` round trips through
+/// a 2-worker pool over the store handler, which answers at once: the
+/// per-request floor of the pool machinery itself.
+fn measure_roundtrip(samples: usize) -> (f64, f64, f64) {
     let (store, paths) = served_paths();
     let pool = ServerPool::start(Arc::new(ShardedSiteHandler::new(store)), 2);
-    let mut group = c.benchmark_group("server_pool");
-    group.bench_function("request_roundtrip", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            i += 1;
-            let response = pool.request_sync(Request::get(paths[i % paths.len()].clone()));
-            assert!(response.status().is_success());
-        })
-    });
-    group.finish();
+    let warmup = samples / 10;
+    let mut times_us = Vec::with_capacity(samples);
+    for i in 0..warmup + samples {
+        let request = Request::get(paths[i % paths.len()].clone());
+        let start = Instant::now();
+        let response = pool.request_sync(request);
+        let elapsed_us = start.elapsed().as_secs_f64() * 1e6;
+        assert!(response.status().is_success());
+        if i >= warmup {
+            times_us.push(elapsed_us);
+        }
+    }
     pool.shutdown();
+    quartiles(&mut times_us)
 }
 
-fn measure_overload() {
+fn measure_overload() -> (LoadResult, LoadResult, Duration) {
     let per_client = if fast_mode() { 40 } else { 160 };
     let work = Duration::from_micros(300);
 
@@ -185,6 +197,20 @@ fn measure_overload() {
     assert!(over.shed > 0, "overload run must shed");
     assert_eq!(over.shed as u64, shed_recorded, "pool stats agree");
 
+    (under, over, work)
+}
+
+fn main() {
+    let samples = if fast_mode() { 2_000 } else { 20_000 };
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let (q1, median, q3) = measure_roundtrip(samples);
+    println!(
+        "server_pool ({cores} cores): request_roundtrip median {median:.1} us \
+         (IQR {q1:.1}-{q3:.1}) over {samples} requests"
+    );
+    // One-shot scenarios, not loops: each is stateful, and minutes long
+    // if iterated.
+    let (under, over, work) = measure_overload();
     println!(
         "server_overload: under-capacity p50 {:?} p99 {:?} shed {}/{} | \
          overload p50 {:?} p99 {:?} shed {}/{} ({:.1}%)",
@@ -201,7 +227,9 @@ fn measure_overload() {
     record_bench_section(
         "server_overload",
         &format!(
-            "{{\"work_floor_us\": {}, \"under_capacity\": {}, \"overload\": {}, \
+            "{{\"cores\": {cores}, \"request_roundtrip\": {{\"samples\": {samples}, \
+             \"median_us\": {median:.2}, \"q1_us\": {q1:.2}, \"q3_us\": {q3:.2}}}, \
+             \"work_floor_us\": {}, \"under_capacity\": {}, \"overload\": {}, \
              \"fast_mode\": {}}}",
             work.as_micros(),
             under.json(),
@@ -210,13 +238,3 @@ fn measure_overload() {
         ),
     );
 }
-
-fn bench_overload(_c: &mut Criterion) {
-    // One-shot measurement (not a criterion loop: the scenario is
-    // stateful and minutes-long if iterated); recorded into
-    // BENCH_weave.json like the other headline numbers.
-    measure_overload();
-}
-
-criterion_group!(benches, bench_pool_request_latency, bench_overload);
-criterion_main!(benches);

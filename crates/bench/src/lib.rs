@@ -100,6 +100,22 @@ pub fn fast_mode() -> bool {
     std::env::var("NAVSEP_BENCH_FAST").is_ok_and(|v| v == "1")
 }
 
+/// `(q1, median, q3)` of `samples` (sorted in place), linearly
+/// interpolated between neighbouring ranks.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub fn quartiles(samples: &mut [f64]) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let x = p * (samples.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        samples[lo] + (samples[hi] - samples[lo]) * (x - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
 /// One giant museum *page*: `rooms` rooms of `paintings_per_room` paintings,
 /// each painting carrying four leaf children — `rooms * (1 + 5 *
 /// paintings_per_room) + 1` elements. `museum_page(400, 50)` is the ~100k
@@ -258,6 +274,13 @@ mod tests {
         assert_eq!(doc.index().element_count(), 4 * (1 + 5 * 3) + 1);
         // The scale corpus really is ~100k elements.
         assert_eq!(400 * (1 + 5 * 50) + 1, 100_401);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_ranks() {
+        assert_eq!(quartiles(&mut [7.0]), (7.0, 7.0, 7.0));
+        assert_eq!(quartiles(&mut [4.0, 1.0, 3.0, 2.0, 5.0]), (2.0, 3.0, 4.0));
+        assert_eq!(quartiles(&mut [4.0, 1.0, 3.0, 2.0]), (1.75, 2.5, 3.25));
     }
 
     #[test]

@@ -60,8 +60,8 @@ pub mod sites {
 
     /// A request handler inside a server worker, via
     /// [`FaultInjectingHandler`](super::FaultInjectingHandler). `Panic`
-    /// exercises worker respawn; `Slow`
-    /// exercises deadlines and queue backpressure. Key: the request path.
+    /// exercises worker respawn; `Slow` exercises deadlines and
+    /// queue-full shedding. Key: the request path.
     pub const SERVER_HANDLE: &str = "server.handle";
 }
 
@@ -234,7 +234,7 @@ impl FaultPlan {
 
     /// A snapshot of every fault fired so far, in firing order.
     pub fn hits(&self) -> Vec<FaultHit> {
-        self.log.lock().unwrap_or_else(|e| e.into_inner()).clone()
+        crate::sync::lock(&self.log).clone()
     }
 
     /// Consults the plan at `site` for `key`: `Some(kind)` when a rule

@@ -62,6 +62,7 @@ pub mod server;
 pub mod session;
 pub mod site;
 pub mod store;
+mod sync;
 pub mod wire;
 
 pub use agent::{

@@ -2,35 +2,38 @@
 //!
 //! The pool exists to make the substrate honest as a *web* tier: requests
 //! are served concurrently from worker threads over a shared, read-locked
-//! site, the way a 2002-era document server would. `crossbeam` channels move
-//! requests in and responses out; `parking_lot::RwLock` guards the site so
-//! publishes (re-weaves) can swap content while reads continue.
+//! site, the way a 2002-era document server would. Workers take requests
+//! off one bounded job queue and answer each through its reply callback;
+//! a `std::sync::RwLock` guards the site so publishes (re-weaves) can swap
+//! content while reads continue.
 //!
 //! ## Overload and failure contract
 //!
 //! [`ServerPool`] is hardened for overload and worker failure:
 //!
-//! * the request queue is **bounded** ([`PoolConfig::queue_capacity`]);
-//!   [`ServerPool::request`] sheds excess load with a **503** carrying
-//!   [`RETRY_AFTER_HEADER`] (and [`SHED_HEADER`] naming the reason), while
-//!   [`ServerPool::request_blocking`] applies condvar backpressure instead;
+//! * [`ServerPool::submit`] is the one way in, and it never blocks: the
+//!   request queue is **bounded** ([`PoolConfig::queue_capacity`]), and a
+//!   request past the bound is **shed** with a 503 carrying
+//!   [`RETRY_AFTER_HEADER`] (and [`SHED_HEADER`] naming the reason);
 //! * an optional **per-request deadline** ([`PoolConfig::deadline`]) sheds
 //!   requests that waited in the queue longer than the deadline, again as
 //!   503 + retry-after;
 //! * a worker whose handler **panics** answers that request with a 500,
-//!   exits, and is **respawned** by the pool supervisor — the pool keeps
-//!   serving after any number of absorbed panics;
+//!   starts its own replacement and exits — the pool keeps serving after
+//!   any number of absorbed panics; a panicking reply callback costs its
+//!   worker the same way;
 //! * [`ServerPool::shutdown`] is **graceful**: in-flight requests complete,
 //!   queued-but-unstarted ones are shed with a 503, and every accepted
 //!   request is answered before shutdown returns.
 
 use crate::http::{Method, Request, Response};
 use crate::site::Site;
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
+use crate::sync::{lock, read, write};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,7 +58,8 @@ impl<H: Handler + ?Sized> Handler for Arc<H> {
     }
 }
 
-/// Serves a [`Site`] read-locked behind `parking_lot::RwLock`.
+/// Serves a [`Site`] read-locked behind one `RwLock`, whose poison (a
+/// panic under the lock) later reads and publishes ignore.
 #[derive(Debug, Default)]
 pub struct SiteHandler {
     site: RwLock<Site>,
@@ -73,12 +77,12 @@ impl SiteHandler {
 
     /// Atomically replaces the served site (e.g. after re-weaving).
     pub fn publish(&self, site: Site) {
-        *self.site.write() = site;
+        *write(&self.site) = site;
     }
 
     /// Runs `f` with read access to the current site.
     pub fn with_site<R>(&self, f: impl FnOnce(&Site) -> R) -> R {
-        f(&self.site.read())
+        f(&read(&self.site))
     }
 
     /// Total requests handled since construction.
@@ -98,7 +102,7 @@ impl Handler for SiteHandler {
         // downstream use (lookup AND the 404 body) sees the bare key, so
         // the two spellings produce byte-identical responses.
         let path = request.path().trim_start_matches('/');
-        let site = self.site.read();
+        let site = read(&self.site);
         match site.get(path) {
             Some(res) => {
                 let response = Response::ok(res.media_type().as_str(), res.to_bytes());
@@ -117,8 +121,8 @@ impl Handler for SiteHandler {
 pub struct PoolConfig {
     /// Worker thread count (must be nonzero).
     pub workers: usize,
-    /// Bound on queued-but-unstarted requests; [`ServerPool::request`]
-    /// sheds beyond it, [`ServerPool::request_blocking`] blocks.
+    /// Bound on queued-but-unstarted requests; [`ServerPool::submit`]
+    /// sheds beyond it.
     pub queue_capacity: usize,
     /// If set, a request that waited in the queue longer than this is shed
     /// with a 503 instead of being handled.
@@ -158,44 +162,90 @@ impl PoolConfig {
     }
 }
 
-/// Where a job's response goes: a bounded channel (the blocking callers)
-/// or a boxed callback (the event-loop listener, whose connections must
-/// complete asynchronously — no thread may park on a `recv`).
-enum ReplyTo {
-    Channel(Sender<Response>),
-    Callback(Box<dyn FnOnce(Response) + Send>),
-}
-
-impl ReplyTo {
-    /// Delivers the response. Channel sends to a gone receiver are
-    /// silently dropped (the client stopped waiting); callbacks always
-    /// run — they are how the listener learns a connection can progress.
-    fn deliver(self, response: Response) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplyTo::Callback(callback) => callback(response),
-        }
-    }
-}
-
+/// A queued request and where its answer goes. The reply runs exactly
+/// once: on a worker, or on the submitting thread for a shed.
 struct Job {
     request: Request,
     enqueued: Instant,
-    reply: ReplyTo,
+    reply: Box<dyn FnOnce(Response) + Send>,
 }
 
-enum Event {
-    /// A worker absorbed a handler panic and exited; spawn a replacement.
-    WorkerExited,
-    /// The pool is shutting down.
-    Stop,
+/// The pool's bounded multi-consumer job queue.
+///
+/// One mutex guards the jobs and the closed flag. A worker checks both
+/// and parks on `ready` in one critical section (`Condvar::wait` releases
+/// the mutex only once the worker is parked), so a push or a close, which
+/// must take the mutex, cannot fall between the check and the park. A
+/// push wakes one parked worker; `close` wakes all of them, and each then
+/// finds a job or the closed flag, so none is left waiting.
+struct JobQueue {
+    state: Mutex<(VecDeque<Job>, bool)>,
+    ready: Condvar,
+    capacity: usize,
+}
+
+impl JobQueue {
+    fn new(capacity: usize) -> Self {
+        JobQueue {
+            state: Mutex::new((VecDeque::new(), false)),
+            ready: Condvar::new(),
+            capacity,
+        }
+    }
+
+    /// Queues `job`, or hands it back with the shed reason: `draining`
+    /// once the queue is closed, `queue-full` at capacity.
+    fn try_push(&self, job: Job) -> Result<(), (Job, &'static str)> {
+        let mut state = lock(&self.state);
+        let (jobs, closed) = &mut *state;
+        if *closed {
+            return Err((job, "draining"));
+        }
+        if jobs.len() >= self.capacity {
+            return Err((job, "queue-full"));
+        }
+        jobs.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// The oldest job, waiting for one while the queue is open; `None`
+    /// once it is closed and empty.
+    fn pop(&self) -> Option<Job> {
+        let mut state = lock(&self.state);
+        loop {
+            if let Some(job) = state.0.pop_front() {
+                return Some(job);
+            }
+            if state.1 {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The oldest job, without waiting.
+    fn try_pop(&self) -> Option<Job> {
+        lock(&self.state).0.pop_front()
+    }
+
+    /// Refuses further pushes and wakes every parked worker. Jobs already
+    /// queued still pop.
+    fn close(&self) {
+        lock(&self.state).1 = true;
+        self.ready.notify_all();
+    }
 }
 
 struct PoolShared {
     handler: Arc<dyn Handler>,
-    events: Sender<Event>,
+    jobs: JobQueue,
+    /// Every worker not yet joined, replacements included.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     draining: AtomicBool,
     deadline: Option<Duration>,
     retry_after_ms: u64,
@@ -211,49 +261,60 @@ impl PoolShared {
             .with_header(RETRY_AFTER_HEADER, self.retry_after_ms.to_string())
             .with_header(SHED_HEADER, reason)
     }
+
+    /// Answers `job` on a pool thread: shed while draining or past the
+    /// deadline, handled otherwise. Returns `false`, with the panic
+    /// counted, if the handler or the reply callback panicked; after a
+    /// handler panic the reply still runs, with a 500.
+    fn serve(&self, job: Job) -> bool {
+        let mut clean = true;
+        let response = if self.draining.load(Ordering::SeqCst) {
+            self.requests_shed.fetch_add(1, Ordering::SeqCst);
+            self.shed_response("draining")
+        } else if self.deadline.is_some_and(|d| job.enqueued.elapsed() > d) {
+            self.requests_timed_out.fetch_add(1, Ordering::SeqCst);
+            self.shed_response("deadline")
+        } else {
+            match catch_unwind(AssertUnwindSafe(|| self.handler.handle(&job.request))) {
+                Ok(response) => response,
+                Err(_) => {
+                    // The request that took the worker down still gets an
+                    // explicit answer, counted before it is sent.
+                    clean = false;
+                    self.panics_absorbed.fetch_add(1, Ordering::SeqCst);
+                    Response::server_error("request handler panicked")
+                        .with_header(RETRY_AFTER_HEADER, self.retry_after_ms.to_string())
+                }
+            }
+        };
+        let replied = catch_unwind(AssertUnwindSafe(|| (job.reply)(response))).is_ok();
+        if clean && !replied {
+            self.panics_absorbed.fetch_add(1, Ordering::SeqCst);
+        }
+        clean && replied
+    }
 }
 
-fn spawn_worker(id: u64, shared: Arc<PoolShared>, jobs: Receiver<Job>) -> JoinHandle<()> {
-    shared.workers_spawned.fetch_add(1, Ordering::SeqCst);
-    std::thread::Builder::new()
+/// Starts a worker and registers it for the shutdown join.
+fn spawn_worker(shared: &Arc<PoolShared>) {
+    let id = shared.workers_spawned.fetch_add(1, Ordering::SeqCst);
+    let worker = Arc::clone(shared);
+    let handle = std::thread::Builder::new()
         .name(format!("navsep-worker-{id}"))
         .spawn(move || {
-            while let Ok(job) = jobs.recv() {
-                if shared.draining.load(Ordering::SeqCst) {
-                    shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                    job.reply.deliver(shared.shed_response("draining"));
-                    continue;
-                }
-                if let Some(deadline) = shared.deadline {
-                    if job.enqueued.elapsed() > deadline {
-                        shared.requests_timed_out.fetch_add(1, Ordering::SeqCst);
-                        job.reply.deliver(shared.shed_response("deadline"));
-                        continue;
+            while let Some(job) = worker.jobs.pop() {
+                if !worker.serve(job) {
+                    // A fresh thread is the only state we can vouch for
+                    // after a panic: start one, unless draining, and exit.
+                    if !worker.draining.load(Ordering::SeqCst) {
+                        spawn_worker(&worker);
                     }
-                }
-                let outcome =
-                    catch_unwind(AssertUnwindSafe(|| shared.handler.handle(&job.request)));
-                match outcome {
-                    Ok(response) => {
-                        job.reply.deliver(response);
-                    }
-                    Err(_) => {
-                        // The request that took the worker down still gets an
-                        // explicit answer, then the worker exits and the
-                        // supervisor replaces it (a fresh thread is the only
-                        // state we can vouch for after a panic).
-                        shared.panics_absorbed.fetch_add(1, Ordering::SeqCst);
-                        job.reply.deliver(
-                            Response::server_error("request handler panicked")
-                                .with_header(RETRY_AFTER_HEADER, shared.retry_after_ms.to_string()),
-                        );
-                        let _ = shared.events.send(Event::WorkerExited);
-                        return;
-                    }
+                    return;
                 }
             }
         })
-        .expect("failed to spawn worker thread")
+        .expect("failed to spawn worker thread");
+    lock(&shared.threads).push(handle);
 }
 
 /// A fixed-size worker pool dispatching requests to a shared [`Handler`],
@@ -276,8 +337,6 @@ fn spawn_worker(id: u64, shared: Arc<PoolShared>, jobs: Receiver<Job>) -> JoinHa
 /// # Ok::<(), navsep_xml::ParseXmlError>(())
 /// ```
 pub struct ServerPool {
-    jobs: Option<Sender<Job>>,
-    supervisor: Option<JoinHandle<()>>,
     shared: Arc<PoolShared>,
     workers: usize,
 }
@@ -311,11 +370,10 @@ impl ServerPool {
             config.workers > 0,
             "a server pool needs at least one worker"
         );
-        let (jobs_tx, jobs_rx) = channel::bounded::<Job>(config.queue_capacity.max(1));
-        let (events_tx, events_rx) = channel::unbounded::<Event>();
         let shared = Arc::new(PoolShared {
             handler: handler as Arc<dyn Handler>,
-            events: events_tx,
+            jobs: JobQueue::new(config.queue_capacity.max(1)),
+            threads: Mutex::default(),
             draining: AtomicBool::new(false),
             deadline: config.deadline,
             retry_after_ms: config.retry_after.as_millis() as u64,
@@ -325,140 +383,48 @@ impl ServerPool {
             workers_spawned: AtomicU64::new(0),
         });
 
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            let jobs_rx = jobs_rx.clone();
-            let workers = config.workers;
-            std::thread::Builder::new()
-                .name("navsep-pool-supervisor".to_string())
-                .spawn(move || {
-                    let mut next_id: u64 = 0;
-                    let mut handles: Vec<JoinHandle<()>> = Vec::with_capacity(workers);
-                    for _ in 0..workers {
-                        handles.push(spawn_worker(next_id, Arc::clone(&shared), jobs_rx.clone()));
-                        next_id += 1;
-                    }
-                    while let Ok(event) = events_rx.recv() {
-                        match event {
-                            Event::WorkerExited => {
-                                if shared.draining.load(Ordering::SeqCst) {
-                                    continue;
-                                }
-                                handles.push(spawn_worker(
-                                    next_id,
-                                    Arc::clone(&shared),
-                                    jobs_rx.clone(),
-                                ));
-                                next_id += 1;
-                            }
-                            Event::Stop => break,
-                        }
-                    }
-                    // Graceful drain: workers exit once the (now
-                    // disconnected) queue is empty.
-                    for handle in handles {
-                        let _ = handle.join();
-                    }
-                    // If every worker panicked away during the drain, queued
-                    // jobs may remain; answer them so no client ever hangs.
-                    while let Ok(job) = jobs_rx.try_recv() {
-                        shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                        job.reply.deliver(shared.shed_response("draining"));
-                    }
-                })
-                .expect("failed to spawn pool supervisor")
-        };
-
+        for _ in 0..config.workers {
+            spawn_worker(&shared);
+        }
         ServerPool {
-            jobs: Some(jobs_tx),
-            supervisor: Some(supervisor),
             shared,
             workers: config.workers,
         }
     }
 
-    /// Submits a request; the response arrives on the returned channel.
+    /// Submits a request whose answer arrives via `on_reply`. This is the
+    /// pool's one way in; [`request`](ServerPool::request) and
+    /// [`request_sync`](ServerPool::request_sync) wrap it.
     ///
-    /// Never blocks: if the bounded queue is full the request is **shed**
-    /// immediately and the channel yields a 503 with
-    /// [`RETRY_AFTER_HEADER`]. Every returned channel yields exactly one
-    /// response.
-    pub fn request(&self, request: Request) -> Receiver<Response> {
-        let (tx, rx) = channel::bounded(1);
-        self.enqueue(Job {
-            request,
-            enqueued: Instant::now(),
-            reply: ReplyTo::Channel(tx),
-        });
-        rx
-    }
-
-    /// Submits a request whose answer arrives via `on_reply` — the
-    /// **asynchronous** twin of [`request`](ServerPool::request), for
-    /// callers that must not park a thread (the event-loop listener).
-    ///
-    /// Same non-blocking shed contract: a full queue or a draining pool
-    /// invokes `on_reply` immediately (on the calling thread) with the
-    /// 503 + [`RETRY_AFTER_HEADER`] shed response; otherwise `on_reply`
-    /// runs later on a worker thread. Exactly one invocation either way —
-    /// the callback is how a connection learns it can progress, so it is
-    /// never dropped unrun.
+    /// Never blocks: a full queue or a draining pool invokes `on_reply`
+    /// immediately (on the calling thread) with the 503 +
+    /// [`RETRY_AFTER_HEADER`] shed response; otherwise `on_reply` runs
+    /// later on a pool thread. Exactly one invocation either way — the
+    /// callback is how an event-loop connection learns it can progress,
+    /// so it is never dropped unrun.
     pub fn submit(&self, request: Request, on_reply: impl FnOnce(Response) + Send + 'static) {
-        self.enqueue(Job {
-            request,
-            enqueued: Instant::now(),
-            reply: ReplyTo::Callback(Box::new(on_reply)),
-        });
-    }
-
-    /// Non-blocking enqueue with the shared shed behavior: queue-full and
-    /// draining both answer immediately through the job's own reply path.
-    fn enqueue(&self, job: Job) {
-        let Some(jobs) = &self.jobs else {
-            self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-            job.reply.deliver(self.shared.shed_response("draining"));
-            return;
-        };
-        match jobs.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                job.reply.deliver(self.shared.shed_response("queue-full"));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                job.reply.deliver(self.shared.shed_response("draining"));
-            }
-        }
-    }
-
-    /// Submits a request, **blocking** while the queue is full (condvar
-    /// backpressure) instead of shedding. Deadlines still apply from the
-    /// moment the request is accepted into the queue.
-    pub fn request_blocking(&self, request: Request) -> Receiver<Response> {
-        let (tx, rx) = channel::bounded(1);
         let job = Job {
             request,
             enqueued: Instant::now(),
-            reply: ReplyTo::Channel(tx),
+            reply: Box::new(on_reply),
         };
-        match &self.jobs {
-            Some(jobs) => {
-                if let Err(send_error) = jobs.send(job) {
-                    let job = send_error.0;
-                    self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                    job.reply.deliver(self.shared.shed_response("draining"));
-                }
-            }
-            None => {
-                self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                job.reply.deliver(self.shared.shed_response("draining"));
-            }
+        if let Err((job, reason)) = self.shared.jobs.try_push(job) {
+            self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
+            (job.reply)(self.shared.shed_response(reason));
         }
+    }
+
+    /// [`submit`](ServerPool::submit) with the answer on the returned
+    /// channel, which yields exactly one response.
+    pub fn request(&self, request: Request) -> Receiver<Response> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.submit(request, move |response| {
+            let _ = tx.send(response);
+        });
         rx
     }
 
-    /// Convenience: submit (blocking at capacity) and wait.
+    /// [`request`](ServerPool::request), then wait for the answer.
     ///
     /// The pool contract is that every accepted request is answered, but a
     /// client must not be able to *panic* on a contract violation — if the
@@ -466,7 +432,7 @@ impl ServerPool {
     /// future refactor missing a path), the caller gets an explicit 503
     /// shed response ([`SHED_HEADER`]` : reply-dropped`) instead.
     pub fn request_sync(&self, request: Request) -> Response {
-        self.await_reply(self.request_blocking(request))
+        self.await_reply(self.request(request))
     }
 
     /// Resolves a reply channel into a response, degrading a dropped
@@ -482,7 +448,8 @@ impl ServerPool {
         self.workers
     }
 
-    /// Handler panics absorbed (each cost one worker, since respawned).
+    /// Panics absorbed in a handler or a reply callback (each cost one
+    /// worker, since respawned).
     pub fn panics_absorbed(&self) -> u64 {
         self.shared.panics_absorbed.load(Ordering::SeqCst)
     }
@@ -505,25 +472,30 @@ impl ServerPool {
 
     /// Gracefully stops the pool: in-flight requests complete, queued ones
     /// are shed with a 503, and all threads are joined before returning.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        // Disconnect the queue so workers exit once it is drained.
-        drop(self.jobs.take());
-        let _ = self.shared.events.send(Event::Stop);
-        if let Some(supervisor) = self.supervisor.take() {
-            let _ = supervisor.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for ServerPool {
     fn drop(&mut self) {
-        // Same graceful teardown when shutdown() was not called explicitly.
-        self.shutdown_inner();
+        let shared = &self.shared;
+        shared.draining.store(true, Ordering::SeqCst);
+        // Close the queue so workers exit once it is drained.
+        shared.jobs.close();
+        // A worker lost to a panic registers its replacement before it
+        // exits, so the list is empty only once every worker is joined.
+        // The lock is not held across a join.
+        loop {
+            let next = lock(&shared.threads).pop();
+            let Some(worker) = next else { break };
+            let _ = worker.join();
+        }
+        // If every worker panicked away during the drain, queued jobs may
+        // remain; answer them so no client ever hangs.
+        while let Some(job) = shared.jobs.try_pop() {
+            shared.serve(job);
+        }
     }
 }
 
@@ -599,7 +571,7 @@ mod tests {
         let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 1);
         // Simulate the contract violation directly: a reply channel whose
         // sender is gone without ever sending.
-        let (tx, rx) = channel::bounded::<Response>(1);
+        let (tx, rx) = mpsc::sync_channel::<Response>(1);
         drop(tx);
         let response = pool.await_reply(rx);
         assert_eq!(response.status().code(), 503);
@@ -611,7 +583,7 @@ mod tests {
     #[test]
     fn submit_delivers_through_the_callback() {
         let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 2);
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         pool.submit(Request::get("a.xml"), move |response| {
             tx.send(response).unwrap();
         });
@@ -624,7 +596,7 @@ mod tests {
     fn submit_while_draining_sheds_through_the_callback() {
         let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 1);
         pool.shared.draining.store(true, Ordering::SeqCst);
-        let (tx, rx) = channel::bounded(1);
+        let (tx, rx) = mpsc::sync_channel(1);
         pool.submit(Request::get("a.xml"), move |response| {
             tx.send(response).unwrap();
         });
@@ -666,6 +638,72 @@ mod tests {
         let r = pool.request_sync(Request::get("style.css"));
         assert_eq!(r.content_type(), Some("text/css"));
         // Drop without explicit shutdown must not hang.
+    }
+
+    fn job(path: &str) -> Job {
+        Job {
+            request: Request::get(path),
+            enqueued: Instant::now(),
+            reply: Box::new(|_| {}),
+        }
+    }
+
+    fn path_of(job: Option<Job>) -> Option<String> {
+        job.map(|job| job.request.path().to_string())
+    }
+
+    fn refusal(pushed: Result<(), (Job, &'static str)>) -> &'static str {
+        pushed.expect_err("the push is refused").1
+    }
+
+    #[test]
+    fn job_queue_sheds_queue_full_at_capacity_and_draining_once_closed() {
+        let queue = JobQueue::new(1);
+        assert!(queue.try_push(job("/a")).is_ok());
+        assert_eq!(refusal(queue.try_push(job("/b"))), "queue-full");
+        queue.close();
+        assert_eq!(refusal(queue.try_push(job("/c"))), "draining");
+    }
+
+    #[test]
+    fn job_queue_pops_in_fifo_order_and_drains_after_close() {
+        let queue = JobQueue::new(8);
+        for i in 0..8 {
+            assert!(queue.try_push(job(&format!("/{i}"))).is_ok());
+        }
+        assert_eq!(path_of(queue.try_pop()).as_deref(), Some("/0"));
+        queue.close();
+        for i in 1..8 {
+            assert_eq!(path_of(queue.pop()), Some(format!("/{i}")));
+        }
+        assert!(queue.pop().is_none(), "closed and empty ends the pop loop");
+    }
+
+    #[test]
+    fn job_queue_close_wakes_every_parked_worker() {
+        const PARKED: usize = 8;
+        let queue = Arc::new(JobQueue::new(4));
+        let (done_tx, done_rx) = mpsc::channel();
+        let workers: Vec<_> = (0..PARKED)
+            .map(|_| {
+                let (queue, done_tx) = (Arc::clone(&queue), done_tx.clone());
+                std::thread::spawn(move || done_tx.send(queue.pop().is_none()).unwrap())
+            })
+            .collect();
+        // The sleep only lets the workers park, so that a close waking
+        // fewer than all of them shows; a worker that has not parked yet
+        // sees the closed flag and passes anyway.
+        std::thread::sleep(Duration::from_millis(50));
+        queue.close();
+        for woken in 0..PARKED {
+            let ended = done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("only {woken} of {PARKED} parked workers woke"));
+            assert!(ended, "a closed, empty queue pops None");
+        }
+        for worker in workers {
+            worker.join().unwrap();
+        }
     }
 
     #[test]

@@ -86,10 +86,10 @@ use crate::fault::{self, FaultError, FaultKind, FaultPlan};
 use crate::http::{Method, Request, Response};
 use crate::server::Handler;
 use crate::site::{Resource, Site};
-use parking_lot::{Mutex, RwLock};
+use crate::sync::{lock, read, write};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Response header carrying the generation that served a request.
 pub const GENERATION_HEADER: &str = "x-navsep-generation";
@@ -274,7 +274,7 @@ impl EpochPin<'_> {
 
 impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
-        let mut pins = self.store.pins.lock();
+        let mut pins = lock(&self.store.pins);
         if let Some(count) = pins.get_mut(&self.generation) {
             *count -= 1;
             if *count == 0 {
@@ -395,14 +395,14 @@ impl ShardedSiteStore {
     /// it at [`fault::sites::STORE_PUBLISH`]. Disarmed stores pay a single
     /// relaxed atomic load.
     pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
-        *self.faults.write() = Some(plan);
+        *write(&self.faults) = Some(plan);
         self.faults_armed.store(true, Ordering::SeqCst);
     }
 
     /// Disarms any armed fault plan.
     pub fn disarm_faults(&self) {
         self.faults_armed.store(false, Ordering::SeqCst);
-        *self.faults.write() = None;
+        *write(&self.faults) = None;
     }
 
     /// Consults the armed plan (if any) at the `store.publish` site. Called
@@ -413,7 +413,7 @@ impl ShardedSiteStore {
         if !self.faults_armed.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let plan = self.faults.read().clone();
+        let plan = read(&self.faults).clone();
         let Some(plan) = plan else { return Ok(()) };
         match plan.decide(fault::sites::STORE_PUBLISH, "commit") {
             None => Ok(()),
@@ -493,7 +493,7 @@ impl ShardedSiteStore {
             let published = Published::new(res, key, rendered);
             partitions[self.shard_of(path)].insert(path.to_string(), Arc::new(published));
         }
-        let swap_guard = self.publish_lock.lock();
+        let swap_guard = lock(&self.publish_lock);
         // The publish lock serializes publishers, so load+store is race-free
         // here; the counter is advanced only AFTER every shard serves the
         // new epoch, keeping `generation()`'s contract (see its doc).
@@ -516,7 +516,7 @@ impl ShardedSiteStore {
             shards: epoch_shards.clone(),
         });
         for (shard, snapshot) in self.shards.iter().zip(epoch_shards) {
-            *shard.write() = snapshot;
+            *write(shard) = snapshot;
         }
         self.generation.store(generation, Ordering::Release);
         drop(swap_guard);
@@ -574,9 +574,9 @@ impl ShardedSiteStore {
         consult_faults: bool,
     ) -> Result<IncrementalPublish, FaultError> {
         let n = self.shards.len();
-        let swap_guard = self.publish_lock.lock();
+        let swap_guard = lock(&self.publish_lock);
         let generation = self.generation.load(Ordering::Acquire) + 1;
-        let previous: Vec<Arc<Shard>> = self.shards.iter().map(|s| Arc::clone(&s.read())).collect();
+        let previous: Vec<Arc<Shard>> = self.shards.iter().map(|s| Arc::clone(&read(s))).collect();
         // Bucket the site by shard without copying a path; a shard's map is
         // rebuilt only when the shard changed.
         let mut buckets: Vec<Vec<(&str, &Arc<Resource>)>> = vec![Vec::new(); n];
@@ -645,7 +645,7 @@ impl ShardedSiteStore {
         });
         for (idx, snapshot) in epoch_shards.into_iter().enumerate() {
             if changed[idx] {
-                *self.shards[idx].write() = snapshot;
+                *write(&self.shards[idx]) = snapshot;
             }
         }
         self.generation.store(generation, Ordering::Release);
@@ -668,7 +668,7 @@ impl ShardedSiteStore {
     /// pinned the oldest goes anyway (the ring is a hard bound). The live
     /// (newest) epoch is never the victim.
     fn push_epoch(&self, epoch: Epoch) -> Vec<Epoch> {
-        let mut ring = self.retained.write();
+        let mut ring = write(&self.retained);
         #[cfg(test)]
         let _held = tests::RetainedWriteHeld::enter();
         ring.push_back(epoch);
@@ -676,7 +676,7 @@ impl ShardedSiteStore {
         while ring.len() > self.retain {
             let candidates = ring.len() - 1; // never evict the live epoch
             let victim = {
-                let pins = self.pins.lock();
+                let pins = lock(&self.pins);
                 ring.iter()
                     .take(candidates)
                     .position(|e| !pins.contains_key(&e.generation))
@@ -705,7 +705,7 @@ impl ShardedSiteStore {
         let site_worth = self.shards.len();
         let mut freed = Vec::new();
         {
-            let mut backlog = self.retired.lock();
+            let mut backlog = lock(&self.retired);
             backlog.extend(
                 evicted
                     .into_iter()
@@ -735,14 +735,14 @@ impl ShardedSiteStore {
     /// first, so the retired backlog is not still alive beside the new
     /// site at its peak.
     pub fn free_retired(&self) -> usize {
-        let freed = std::mem::take(&mut *self.retired.lock());
+        let freed = std::mem::take(&mut *lock(&self.retired));
         freed.len()
     }
 
     /// Shard snapshots evicted from the ring and not yet freed: at most
     /// [`shard_count`](Self::shard_count) once a publish has returned.
     pub fn retired_shards(&self) -> usize {
-        self.retired.lock().len()
+        lock(&self.retired).len()
     }
 
     /// Pins `generation`'s epoch in the retention ring: while any pin on a
@@ -751,7 +751,7 @@ impl ShardedSiteStore {
     /// while the publisher churns. Pinning cannot resurrect an epoch that
     /// was already evicted — pin before the churn, not after.
     pub fn pin(&self, generation: u64) -> EpochPin<'_> {
-        *self.pins.lock().entry(generation).or_insert(0) += 1;
+        *lock(&self.pins).entry(generation).or_insert(0) += 1;
         EpochPin {
             store: self,
             generation,
@@ -763,14 +763,14 @@ impl ShardedSiteStore {
     /// [`generation`](Self::generation) once the publish that produced it
     /// has completed).
     pub fn retained_generations(&self) -> Vec<u64> {
-        self.retained.read().iter().map(|e| e.generation).collect()
+        read(&self.retained).iter().map(|e| e.generation).collect()
     }
 
     /// Looks up `path`, returning the resource together with the generation
     /// of the snapshot that served it.
     pub fn get(&self, path: &str) -> Option<ResourceRead> {
         let key = path.trim_start_matches('/');
-        let snapshot = Arc::clone(&self.shards[self.shard_of(path)].read());
+        let snapshot = Arc::clone(&read(&self.shards[self.shard_of(path)]));
         snapshot.resources.get(key).map(|published| ResourceRead {
             generation: snapshot.generation,
             published: Arc::clone(published),
@@ -789,7 +789,7 @@ impl ShardedSiteStore {
     pub fn get_at(&self, path: &str, generation: u64) -> Option<ResourceRead> {
         let key = path.trim_start_matches('/');
         let idx = self.shard_of(path);
-        let ring = self.retained.read();
+        let ring = read(&self.retained);
         // Newest first; per-shard generations are monotone across epochs,
         // so once they drop below the target no older epoch can match.
         for epoch in ring.iter().rev() {
@@ -810,7 +810,7 @@ impl ShardedSiteStore {
     /// The live epoch's shard set — one coherent snapshot for whole-store
     /// reads.
     fn latest_epoch(&self) -> Option<Vec<Arc<Shard>>> {
-        self.retained.read().back().map(|e| e.shards.clone())
+        read(&self.retained).back().map(|e| e.shards.clone())
     }
 
     /// Total resources in the latest published epoch.

@@ -1,5 +1,5 @@
 //! ServerPool robustness contract: graceful shutdown, overload shedding,
-//! queue deadlines, panic respawn, and blocking backpressure.
+//! queue deadlines, panic respawn, and counter conservation.
 //!
 //! Every test here must terminate on its own — a hang is itself the
 //! failure being guarded against (the shutdown path joins real threads and
@@ -9,7 +9,7 @@ use navsep_web::{
     Handler, PoolConfig, Request, Response, ServerPool, RETRY_AFTER_HEADER, SHED_HEADER,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Answers after `delay`, counting completions; panics on `/boom`.
@@ -54,7 +54,7 @@ fn quiet_test_panics() {
                 .map(String::as_str)
                 .or_else(|| payload.downcast_ref::<&str>().copied())
                 .unwrap_or("");
-            if !message.contains("test handler panic") {
+            if !message.contains("test handler panic") && !message.contains("test callback panic") {
                 previous(info);
             }
         }));
@@ -65,7 +65,7 @@ fn quiet_test_panics() {
 fn shutdown_completes_the_in_flight_request() {
     let handler = Arc::new(SlowHandler::new(Duration::from_millis(80)));
     let pool = ServerPool::start(Arc::clone(&handler), 1);
-    let reply = pool.request_blocking(Request::get("/a"));
+    let reply = pool.request(Request::get("/a"));
     // Let the single worker pick the job up before we start draining.
     std::thread::sleep(Duration::from_millis(20));
     pool.shutdown();
@@ -78,10 +78,10 @@ fn shutdown_completes_the_in_flight_request() {
 fn shutdown_sheds_queued_but_unstarted_requests() {
     let handler = Arc::new(SlowHandler::new(Duration::from_millis(80)));
     let pool = ServerPool::start_with(Arc::clone(&handler), PoolConfig::new(1).queue_capacity(16));
-    let in_flight = pool.request_blocking(Request::get("/first"));
+    let in_flight = pool.request(Request::get("/first"));
     std::thread::sleep(Duration::from_millis(20));
     let queued: Vec<_> = (0..4)
-        .map(|i| pool.request_blocking(Request::get(format!("/queued{i}"))))
+        .map(|i| pool.request(Request::get(format!("/queued{i}"))))
         .collect();
     pool.shutdown();
     assert!(in_flight.recv().unwrap().status().is_success());
@@ -105,7 +105,7 @@ fn shutdown_never_hangs_even_with_a_deep_queue() {
     let handler = Arc::new(SlowHandler::new(Duration::from_millis(50)));
     let pool = ServerPool::start_with(handler, PoolConfig::new(2).queue_capacity(64));
     let replies: Vec<_> = (0..32)
-        .map(|i| pool.request_blocking(Request::get(format!("/q{i}"))))
+        .map(|i| pool.request(Request::get(format!("/q{i}"))))
         .collect();
     let start = Instant::now();
     pool.shutdown();
@@ -168,11 +168,11 @@ fn queue_deadline_expires_stale_requests_with_503() {
             .queue_capacity(8)
             .deadline(Duration::from_millis(20)),
     );
-    let first = pool.request_blocking(Request::get("/fresh"));
+    let first = pool.request(Request::get("/fresh"));
     std::thread::sleep(Duration::from_millis(10));
     // These wait >60ms behind /fresh — past their 20ms deadline.
     let stale: Vec<_> = (0..3)
-        .map(|i| pool.request_blocking(Request::get(format!("/stale{i}"))))
+        .map(|i| pool.request(Request::get(format!("/stale{i}"))))
         .collect();
     assert!(first.recv().unwrap().status().is_success());
     for reply in stale {
@@ -195,7 +195,7 @@ fn handler_panic_answers_500_and_respawns_the_worker() {
     assert!(response.body_text().contains("panicked"));
     assert!(response.header_value(RETRY_AFTER_HEADER).is_some());
     assert_eq!(pool.panics_absorbed(), 1);
-    // The supervisor respawns asynchronously; wait for the replacement,
+    // The replacement starts asynchronously; wait for it,
     // then prove the pool still serves.
     let start = Instant::now();
     while pool.workers_spawned() < 2 {
@@ -227,16 +227,79 @@ fn pool_survives_a_burst_of_panics() {
 }
 
 #[test]
-fn request_blocking_backpressures_instead_of_shedding() {
-    let handler = Arc::new(SlowHandler::new(Duration::from_millis(10)));
-    let pool = ServerPool::start_with(Arc::clone(&handler), PoolConfig::new(1).queue_capacity(1));
-    let replies: Vec<_> = (0..6)
-        .map(|i| pool.request_blocking(Request::get(format!("/b{i}"))))
-        .collect();
-    for reply in replies {
-        assert!(reply.recv().unwrap().status().is_success());
-    }
-    assert_eq!(pool.requests_shed(), 0, "blocking path never sheds");
-    assert_eq!(handler.completed.load(Ordering::SeqCst), 6);
+fn panicking_reply_callback_costs_a_worker_that_is_respawned() {
+    quiet_test_panics();
+    let handler = Arc::new(SlowHandler::new(Duration::from_millis(1)));
+    let pool = ServerPool::start(Arc::clone(&handler), 1);
+    pool.submit(Request::get("/a"), |_| panic!("test callback panic"));
+    // Only a replacement worker can answer: the pool's one worker ran the
+    // panicking callback.
+    let response = pool
+        .request(Request::get("/b"))
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the pool keeps serving after a reply callback panics");
+    assert!(response.status().is_success());
+    assert_eq!(pool.panics_absorbed(), 1);
+    assert_eq!(pool.workers_spawned(), 2);
+    assert_eq!(handler.completed.load(Ordering::SeqCst), 2);
     pool.shutdown();
+}
+
+#[test]
+fn every_submission_is_answered_once_and_counted_once() {
+    const THREADS: usize = 4;
+    const PER_THREAD: usize = 200;
+    const TOTAL: usize = THREADS * PER_THREAD;
+    let handler = Arc::new(SlowHandler::new(Duration::from_millis(2)));
+    let pool = ServerPool::start_with(
+        Arc::clone(&handler),
+        PoolConfig::new(1)
+            .queue_capacity(1)
+            .deadline(Duration::from_millis(1)),
+    );
+    let (tx, answers) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (pool, tx) = (&pool, tx.clone());
+            scope.spawn(move || {
+                for i in t * PER_THREAD..(t + 1) * PER_THREAD {
+                    let tx = tx.clone();
+                    pool.submit(Request::get(format!("/c{i}")), move |response| {
+                        tx.send((i, response)).unwrap();
+                    });
+                }
+            });
+        }
+    });
+    drop(tx);
+    let mut calls = vec![0u32; TOTAL];
+    let mut served = 0;
+    for _ in 0..TOTAL {
+        let (i, response) = answers
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every callback runs");
+        calls[i] += 1;
+        if response.status().is_success() {
+            served += 1;
+        } else {
+            assert_eq!(response.status().code(), 503, "request {i}");
+            assert!(response.header_value(SHED_HEADER).is_some(), "request {i}");
+            assert!(
+                response.header_value(RETRY_AFTER_HEADER).is_some(),
+                "request {i}"
+            );
+        }
+    }
+    // The counters move before each reply runs, so they are final now.
+    let (shed, timed_out) = (pool.requests_shed(), pool.requests_timed_out());
+    pool.shutdown();
+    assert!(answers.recv().is_err(), "no callback runs twice");
+    assert!(calls.iter().all(|&n| n == 1), "every callback runs once");
+    assert_eq!(handler.completed.load(Ordering::SeqCst), served);
+    assert_eq!(
+        served + shed + timed_out,
+        TOTAL as u64,
+        "handled {served}, shed {shed}, timed out {timed_out}"
+    );
+    assert!(shed > 0, "a 1-deep queue under 4 threads sheds");
 }
