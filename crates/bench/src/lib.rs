@@ -151,12 +151,21 @@ pub fn museum_page(rooms: usize, paintings_per_room: usize) -> Document {
 
 /// Where scale benches record their headline numbers.
 pub fn bench_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_weave.json")
+    manifest_dir(std::env::var_os("CARGO_MANIFEST_DIR")).join("../../BENCH_weave.json")
 }
 
 /// Where the traffic fleet records its per-scenario serving numbers.
 pub fn traffic_json_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_traffic.json")
+    manifest_dir(std::env::var_os("CARGO_MANIFEST_DIR")).join("../../BENCH_traffic.json")
+}
+
+/// This package's directory: `runtime`, the `CARGO_MANIFEST_DIR` cargo
+/// sets for the bench, test or `cargo run` process, else the directory the
+/// package was compiled in. Resolving it at run time keeps a copy of the
+/// checkout, whose up-to-date bench binaries cargo may reuse from a copied
+/// `target/`, from writing into the original checkout's files.
+fn manifest_dir(runtime: Option<std::ffi::OsString>) -> PathBuf {
+    runtime.map_or_else(|| PathBuf::from(env!("CARGO_MANIFEST_DIR")), PathBuf::from)
 }
 
 /// Records one named section (a JSON object literal) into
@@ -250,6 +259,22 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bench_files_resolve_against_the_running_checkout() {
+        let copy = std::path::Path::new("/elsewhere/checkout/crates/bench");
+        assert_eq!(manifest_dir(Some(copy.into())), copy);
+        assert_eq!(
+            manifest_dir(None),
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        );
+        // Under cargo the process sees its own package directory.
+        assert_eq!(
+            bench_json_path(),
+            manifest_dir(std::env::var_os("CARGO_MANIFEST_DIR")).join("../../BENCH_weave.json")
+        );
+        assert!(traffic_json_path().ends_with("../../BENCH_traffic.json"));
+    }
 
     #[test]
     fn setups_build() {

@@ -27,7 +27,7 @@ use navsep_style::Transform;
 use navsep_web::{Resource, Site};
 use navsep_xlink::{Endpoint, Linkbase, Resolver, Traversal};
 use navsep_xml::{fnv1a64, ElementBuilder};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -195,18 +195,18 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// * the (linkbase, aspects) pair → the fully [`CompiledWeaver`], with
 ///   every rule pointcut pre-analyzed into its index candidate plan, so a
 ///   steady-state reweave goes straight to candidate resolution;
-/// * `links.xml` → its expanded traversal list, which every cached weave's
-///   locator check walks: the full weave that first compiles a linkbase
-///   fills it, and the incremental commits after it re-check only the
-///   locators that point into edited documents.
+/// * `links.xml` → its expanded traversal list, indexed by the documents
+///   its endpoints address, which every cached weave's locator check
+///   walks: the full weave that first compiles a linkbase fills it, and
+///   the incremental commits after it re-check only the traversals the
+///   index names for the edited documents.
 ///
 /// Locator resolution against the data set is deliberately **not** cached:
 /// it depends on the data documents, which may change between weaves even
 /// when the linkbase does not.
 ///
-/// [`hits`](Self::hits) and [`misses`](Self::misses) count the compiled
-/// specs; the traversal list is an expansion of an already cached linkbase
-/// and shows up in [`entries`](Self::entries) only.
+/// [`hits`](Self::hits) and [`misses`](Self::misses) count lookups of
+/// every kind above, the traversal list included.
 ///
 /// # Examples
 ///
@@ -227,7 +227,7 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// let first = cached.run(&sources)?;   // compiles specs
 /// let again = cached.run(&sources)?;   // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
-/// assert!(cache.hits() >= 3); // transform + linkbase + navigation map
+/// assert!(cache.hits() >= 3); // transform, linkbase, navigation map, …
 /// # Ok::<(), navsep_core::CoreError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -237,7 +237,7 @@ pub struct WeaveCache {
     navigation: SpecCache<BTreeMap<String, PageNav>>,
     aspects: AspectCache,
     weavers: SpecCache<CompiledWeaver>,
-    traversals: SpecCache<Vec<Traversal>>,
+    traversals: SpecCache<TraversalIndex>,
 }
 
 impl WeaveCache {
@@ -253,6 +253,7 @@ impl WeaveCache {
             + self.navigation.hits()
             + self.aspects.hits()
             + self.weavers.hits()
+            + self.traversals.hits()
     }
 
     /// Total lookups that had to compile.
@@ -262,6 +263,7 @@ impl WeaveCache {
             + self.navigation.misses()
             + self.aspects.misses()
             + self.weavers.misses()
+            + self.traversals.misses()
     }
 
     /// Total compiled specs currently held, across all kinds. The cache
@@ -433,22 +435,63 @@ fn endpoint_document(endpoint: &Endpoint) -> Option<&str> {
     }
 }
 
+/// A linkbase's traversal list, plus the positions in it of the
+/// traversals with an endpoint in each document.
+#[derive(Debug)]
+struct TraversalIndex {
+    traversals: Vec<Traversal>,
+    /// Document path → ascending positions in `traversals`.
+    by_document: HashMap<String, Vec<usize>>,
+}
+
+impl TraversalIndex {
+    fn new(traversals: Vec<Traversal>) -> Self {
+        let mut by_document: HashMap<String, Vec<usize>> = HashMap::new();
+        for (i, t) in traversals.iter().enumerate() {
+            for doc in [&t.from, &t.to].into_iter().filter_map(endpoint_document) {
+                let positions = by_document.entry(doc.to_string()).or_default();
+                if positions.last() != Some(&i) {
+                    positions.push(i);
+                }
+            }
+        }
+        TraversalIndex {
+            traversals,
+            by_document,
+        }
+    }
+
+    /// The positions of the traversals with an endpoint in a `touched`
+    /// document, ascending.
+    fn touching(&self, touched: &BTreeSet<String>) -> Vec<usize> {
+        let mut positions: Vec<usize> = touched
+            .iter()
+            .filter_map(|doc| self.by_document.get(doc))
+            .flatten()
+            .copied()
+            .collect();
+        positions.sort_unstable();
+        positions.dedup();
+        positions
+    }
+}
+
 /// Resolves the linkbase's traversals against `sources`, in the
 /// linkbase's traversal order, `from` before `to` — the locator check of a
-/// cached weave. The traversal list comes from `cache`, expanded once per
-/// linkbase: the full weave under a new linkbase fills it, and every later
-/// commit under that linkbase walks the same list.
+/// cached weave. The traversal list comes from `cache`, expanded and
+/// indexed once per linkbase: the full weave under a new linkbase fills
+/// it, and every later commit under that linkbase walks the same list.
 ///
 /// `touched: None` resolves every traversal, exactly the endpoints
 /// [`Resolver::resolve`] resolves, in the same order, so the first error is
 /// the same. `Some(touched)` resolves only the traversals with an endpoint
-/// in a touched document — the check of an incremental commit — under a
-/// precondition: this linkbase already passed the check against `sources`
-/// as they were before the `touched` paths were edited (a full check, or a
-/// touched check chained back to one). Every skipped endpoint was then
-/// resolved against the same document under the same linkbase, so the full
-/// check could fail only at a touched traversal, and walking those in the
-/// same order meets the same first error.
+/// in a touched document — the check of an incremental commit, whose
+/// positions the index names — under a precondition: this linkbase already
+/// passed the check against `sources` as they were before the `touched`
+/// paths were edited (a full check, or a touched check chained back to
+/// one). Every skipped endpoint was then resolved against the same document
+/// under the same linkbase, so the full check could fail only at a touched
+/// traversal, and walking those in list order meets the same first error.
 fn check_locators(
     sources: &Site,
     links_doc: &navsep_xml::Document,
@@ -456,22 +499,24 @@ fn check_locators(
     cache: &WeaveCache,
     touched: Option<&BTreeSet<String>>,
 ) -> Result<(), CoreError> {
-    let traversals = cache
+    let index = cache
         .traversals
-        .get_or_try_insert(links_doc.content_hash(), || linkbase.traversals())?;
-    let in_touched = |ep: &Endpoint| match touched {
-        None => true,
-        Some(touched) => endpoint_document(ep).is_some_and(|doc| touched.contains(doc)),
-    };
+        .get_or_try_insert(links_doc.content_hash(), || {
+            linkbase.traversals().map(TraversalIndex::new)
+        })?;
     let resolver = Resolver::new(sources, LINKBASE_PATH);
-    for t in traversals
-        .iter()
-        .filter(|t| in_touched(&t.from) || in_touched(&t.to))
-    {
+    let resolve = |t: &Traversal| -> Result<(), CoreError> {
         resolver.resolve_endpoint(&t.from)?;
         resolver.resolve_endpoint(&t.to)?;
+        Ok(())
+    };
+    match touched {
+        None => index.traversals.iter().try_for_each(resolve),
+        Some(touched) => index
+            .touching(touched)
+            .into_iter()
+            .try_for_each(|i| resolve(&index.traversals[i])),
     }
-    Ok(())
 }
 
 /// Passes the raw resources of `sources` (the CSS) through to `site`,
@@ -881,9 +926,9 @@ mod tests {
         crate::equiv::assert_site_equivalent(&uncached.site, &first.site).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &again.site).unwrap();
         // First cached run compiles (transform + linkbase + nav map +
-        // compiled weaver), the second is pure hits.
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.hits(), 4);
+        // traversal list + compiled weaver), the second is pure hits.
+        assert_eq!(cache.misses(), 5);
+        assert_eq!(cache.hits(), 5);
     }
 
     #[test]
@@ -902,13 +947,13 @@ mod tests {
         let a = cached(&cache).run(&index).unwrap();
         let b = cached(&cache).run(&igt).unwrap();
         // Same transform (1 hit on the second weave); different linkbase
-        // (fresh linkbase + nav-map + weaver compilations, no poisoned
-        // reuse).
+        // (fresh linkbase + nav-map + traversal-list + weaver
+        // compilations, no poisoned reuse).
         assert!(!crate::equiv::dom_equivalent(
             a.site.get("guitar.html").unwrap().document().unwrap(),
             b.site.get("guitar.html").unwrap().document().unwrap(),
         ));
-        assert_eq!(cache.misses(), 7);
+        assert_eq!(cache.misses(), 9);
         assert_eq!(cache.hits(), 1);
     }
 
@@ -1054,6 +1099,44 @@ mod tests {
         let outcome = publisher.commit().unwrap();
         assert_eq!(outcome.pages_rewoven, 1, "{outcome:?}");
         assert_eq!(publisher.cache().entries(), after_swap);
+    }
+
+    #[test]
+    fn first_data_commit_after_a_swap_counts_one_traversal_hit() {
+        use crate::publish::{SitePublisher, SourceEdit};
+        use navsep_web::ShardedSiteStore;
+
+        let igt = separated_sources(
+            &paper_museum(),
+            &museum_navigation(),
+            &paper_spec(AccessStructureKind::IndexedGuidedTour),
+        )
+        .unwrap();
+        let mut publisher = SitePublisher::new(index_sources(), Arc::new(ShardedSiteStore::new(4)));
+        publisher.commit().unwrap();
+        let links = igt.get(LINKBASE_PATH).unwrap().document().unwrap().clone();
+        publisher.stage(SourceEdit::put_document(LINKBASE_PATH, links));
+        publisher.commit().unwrap();
+        let cache = publisher.cache();
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let traversal_hits = cache.traversals.hits();
+        let guitar = publisher
+            .sources()
+            .get("guitar.xml")
+            .unwrap()
+            .document()
+            .unwrap();
+        let guitar = guitar.to_xml_string().replace("Guitar", "Guitar (v2)");
+        publisher.stage(SourceEdit::put_document(
+            "guitar.xml",
+            navsep_xml::Document::parse(&guitar).unwrap(),
+        ));
+        publisher.commit().unwrap();
+        let cache = publisher.cache();
+        assert_eq!(cache.traversals.hits(), traversal_hits + 1);
+        assert_eq!(cache.misses(), misses, "a data commit compiles nothing");
+        // Transform, linkbase, navigation map, traversal list, weaver.
+        assert_eq!(cache.hits(), hits + 5);
     }
 
     #[test]
@@ -1215,8 +1298,8 @@ mod executor_tests {
         let first = weave.run(&sources).unwrap();
         let again = weave.run(&sources).unwrap();
         assert_eq!(first.site.len(), again.site.len());
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.hits(), 4);
+        assert_eq!(cache.misses(), 5);
+        assert_eq!(cache.hits(), 5);
     }
 
     #[test]

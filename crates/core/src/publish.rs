@@ -12,19 +12,31 @@
 //! previous epoch.
 //!
 //! Commits are incremental end to end when the batch touches only data or
-//! raw resources. A [`Site`] is copy-on-write (`Arc` per resource), so the
-//! working copy of the sources and of the last woven site share every
-//! document they do not replace. The K edited pages are re-transformed and
-//! re-woven; the locator check resolves only the traversals with an
-//! endpoint in an edited document, in the full check's order, from a
-//! traversal list cached per linkbase; every other page is the previous
-//! weave's `Arc`, memoized [`navsep_xml::Document::content_hash`] and all;
-//! and [`ShardedSiteStore::publish_incremental`] reuses the unchanged
-//! entries and skips untouched shards. Document work is O(K); what stays
-//! O(site) is pointer work — the path maps' refcount bumps and key copies
-//! and the store diff's one hash comparison per entry. A batch that edits a
-//! *spec* (linkbase, transform, `aspects.xml`) falls back to the full
-//! weave, since any page may be affected.
+//! raw resources, and cost O(K) for K edits from
+//! [`stage`](SitePublisher::stage) to the store swap:
+//!
+//! * the batch is applied to the sources **in place**: each staged document
+//!   moves into the sources' `Arc<Resource>` (no deep copy), and an undo log
+//!   records the resource each edit replaced;
+//! * the K edited pages are re-transformed and re-woven into a small site;
+//!   the locator check resolves only the traversals with an endpoint in an
+//!   edited document, in the full check's order, through a per-document
+//!   index of the traversal list cached per linkbase;
+//! * the commit publishes a [`ChangeSet`] — the woven pages, refreshed raw
+//!   resources and removals — through
+//!   [`ShardedSiteStore::try_publish_changes`], which looks only at the
+//!   shards the changes land in, reuses an entry whose content key is
+//!   unchanged and keeps every untouched shard (and its stamp);
+//! * once the store publish succeeds, the same change set patches the last
+//!   woven site in place. Every other page stays the previous weave's
+//!   `Arc`, memoized [`navsep_xml::Document::content_hash`] and all.
+//!
+//! Neither the sources nor the last woven site are copied. A batch that
+//! edits a *spec* (linkbase, transform, `aspects.xml`) falls back to the
+//! full weave, since any page may be affected; it first frees what that
+//! weave supersedes (the last woven site, the store's retired shards, the
+//! spec documents the previous full weave replaced), so none of it is
+//! alive beside the new site and none of its frees land on the next edit.
 //!
 //! The store's epochs hold the same `Arc`s as the publisher's last woven
 //! site, so a page that survives many commits is stored once, however many
@@ -33,17 +45,18 @@
 //!
 //! Commits are transactional over the staged batch: if the weave (or the
 //! audit / pre-weave lint, for
-//! [`commit_audited`](SitePublisher::commit_audited)) fails, neither the
-//! sources nor the served site change, and the batch stays staged for
-//! correction.
+//! [`commit_audited`](SitePublisher::commit_audited)) fails, the undo log
+//! restores the sources resource for resource, each staged document moves
+//! back into its edit, the served site does not change, and the batch
+//! stays staged for correction.
 
 use crate::audit::audit_site;
 use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::layout::data_to_page;
 use crate::lint::lint_sources;
-use crate::pipeline::{panic_message, weave_pages_cached, Weave, WeaveCache};
-use navsep_web::{IncrementalPublish, Resource, ShardedSiteStore, Site};
+use crate::pipeline::{panic_message, weave_pages_cached, Weave, WeaveCache, WovenOutput};
+use navsep_web::{ChangeSet, IncrementalPublish, Resource, ShardedSiteStore, Site};
 use navsep_xml::Document;
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -175,21 +188,56 @@ impl SourceEdit {
         SourceEdit::Remove { path: path.into() }
     }
 
-    fn apply(&self, sources: &mut Site) {
+    /// The path the edit touches, in its stored form (a [`Site`]
+    /// normalizes a leading `/` away, so `/links.xml` *is* the linkbase).
+    fn path(&self) -> &str {
+        match self {
+            SourceEdit::PutDocument { path, .. }
+            | SourceEdit::PutRaw { path, .. }
+            | SourceEdit::Remove { path } => path.trim_start_matches('/'),
+        }
+    }
+
+    /// `true` when the edit touches a spec the [`WeaveCache`] compiles.
+    fn edits_spec(&self) -> bool {
+        use crate::layout::{ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
+        [LINKBASE_PATH, TRANSFORM_PATH, ASPECTS_PATH].contains(&self.path())
+    }
+
+    /// Applies the edit to `sources` in place and returns the resource it
+    /// replaced. A put document moves into `sources` (the edit keeps an
+    /// empty placeholder until [`unapply`](Self::unapply) moves it back).
+    fn apply(&mut self, sources: &mut Site) -> Option<Arc<Resource>> {
         match self {
             SourceEdit::PutDocument { path, doc } => {
-                sources.put_document(path.clone(), doc.clone())
+                let replaced = sources.remove_shared(path);
+                sources.put_document(path.clone(), std::mem::take(doc));
+                replaced
             }
             SourceEdit::PutRaw { path, text } => {
+                let replaced = sources.remove_shared(path);
                 if path.ends_with(".css") {
                     sources.put_css(path.clone(), text.clone());
                 } else {
                     sources.put_text(path.clone(), text.clone());
                 }
+                replaced
             }
-            SourceEdit::Remove { path } => {
-                sources.remove_shared(path);
+            SourceEdit::Remove { path } => sources.remove_shared(path),
+        }
+    }
+
+    /// Undoes [`apply`](Self::apply): puts `replaced` back into `sources`
+    /// and the applied document back into the edit.
+    fn unapply(&mut self, sources: &mut Site, replaced: Option<Arc<Resource>>) {
+        let applied = sources.remove_shared(self.path());
+        if let (SourceEdit::PutDocument { doc, .. }, Some(applied)) = (&mut *self, applied) {
+            if let Resource::Document { doc: applied, .. } = Arc::unwrap_or_clone(applied) {
+                *doc = applied;
             }
+        }
+        if let Some(replaced) = replaced {
+            sources.put_shared(self.path(), replaced);
         }
     }
 }
@@ -256,14 +304,19 @@ pub struct SitePublisher {
     store: Arc<ShardedSiteStore>,
     cache: WeaveCache,
     staged: Vec<SourceEdit>,
-    /// The woven site of the last successful commit — what the
-    /// incremental path reuses for untouched pages. Its resources are the
-    /// very `Arc`s the store's live epoch serves (memoized content hash
-    /// included, so the store's diff is O(1) per reused page). `Some` also
+    /// The woven site of the last successful commit, patched in place by
+    /// each incremental commit's change set once the store has published
+    /// it. Its resources are the very `Arc`s the store's live epoch serves
+    /// (memoized content hash included). `None` means the next commit is
+    /// a full weave with a full locator check; `Some` also
     /// records that `sources` passed the locator check under the current
     /// linkbase, which is what lets the next data-only commit re-check only
     /// the locators into the documents it edits.
     last_woven: Option<Site>,
+    /// The sources the last full-weave commit replaced (the superseded
+    /// linkbase, typically), freed when the next full weave starts rather
+    /// than at the end of the commit that replaced them.
+    superseded: Vec<Arc<Resource>>,
     /// Fault plan consulted once per commit attempt; `None` (the default)
     /// costs one branch.
     faults: Option<Arc<FaultPlan>>,
@@ -280,6 +333,7 @@ impl SitePublisher {
             cache: WeaveCache::new(),
             staged: Vec::new(),
             last_woven: None,
+            superseded: Vec::new(),
             faults: None,
             retry: RetryPolicy::default(),
         }
@@ -343,9 +397,15 @@ impl SitePublisher {
     }
 
     /// The woven site of the last successful commit (`None` before the
-    /// first). It shares its resources with the store's live epoch.
+    /// first, and from the start of a full-weave commit until it
+    /// succeeds). It shares its resources with the store's live epoch.
     pub fn last_woven(&self) -> Option<&Site> {
         self.last_woven.as_ref()
+    }
+
+    /// The staged batch, in staging order.
+    pub fn staged(&self) -> &[SourceEdit] {
+        &self.staged
     }
 
     /// Applies every staged edit, weaves once, and publishes the woven
@@ -381,45 +441,23 @@ impl SitePublisher {
     pub fn lint(&self) -> crate::lint::SourceLintReport {
         let mut next = self.sources.clone();
         for edit in &self.staged {
-            edit.apply(&mut next);
+            edit.clone().apply(&mut next);
         }
         lint_sources(&next)
     }
 
-    /// `true` when `edit` touches a spec the [`WeaveCache`] compiles.
-    fn edits_spec(edit: &SourceEdit) -> bool {
-        use crate::layout::{ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
-        let path = Self::edit_path(edit);
-        path == LINKBASE_PATH || path == TRANSFORM_PATH || path == ASPECTS_PATH
-    }
-
-    /// The path a staged edit touches, in its stored form (a [`Site`]
-    /// normalizes a leading `/` away, so `/links.xml` *is* the linkbase).
-    fn edit_path(edit: &SourceEdit) -> &str {
-        match edit {
-            SourceEdit::PutDocument { path, .. }
-            | SourceEdit::PutRaw { path, .. }
-            | SourceEdit::Remove { path } => path.trim_start_matches('/'),
-        }
-    }
-
-    /// Reweaves only what the staged batch touched, reusing every other
-    /// page of `prev` (the last woven site) verbatim. Only valid when no
-    /// spec changed and the committed sources passed the locator check
-    /// under the current linkbase. Returns the next woven site plus
-    /// (rewoven, reused) counts.
-    fn incremental_weave(
+    /// Reweaves only what the applied batch `staged` touched: the pages of
+    /// edited data documents, edited raw resources, and removals. Only
+    /// valid when no spec changed and the sources before the batch passed
+    /// the locator check under the current linkbase. Returns the output
+    /// changes against the last woven site plus (rewoven, raw refreshed)
+    /// counts.
+    fn incremental_changes(
         &self,
-        next: &Site,
-        prev: &Site,
-    ) -> Result<(Site, usize, usize), CoreError> {
-        // Copy-on-write: shares every page of `prev`.
-        let mut site = prev.clone();
-        let touched: BTreeSet<String> = self
-            .staged
-            .iter()
-            .map(|edit| Self::edit_path(edit).to_string())
-            .collect();
+        staged: &[SourceEdit],
+    ) -> Result<(ChangeSet, usize, usize), CoreError> {
+        let touched: BTreeSet<String> = staged.iter().map(|e| e.path().to_string()).collect();
+        let mut changes = ChangeSet::new();
         let mut to_weave: Vec<String> = Vec::new();
         let mut raw_refreshed = 0usize;
         for path in &touched {
@@ -428,11 +466,11 @@ impl SitePublisher {
             // data documents become woven pages, raw resources pass
             // through (media type preserved, exactly as the full weave's
             // passthrough does), anything else vanishes from the output.
-            site.remove_shared(path);
+            changes.remove(path);
             if let Some(page) = data_to_page(path) {
-                site.remove_shared(&page);
+                changes.remove(&page);
             }
-            match next.get_shared(path) {
+            match self.sources.get_shared(path) {
                 None => {}
                 Some(res) => match **res {
                     Resource::Document { .. } => {
@@ -442,7 +480,7 @@ impl SitePublisher {
                     }
                     Resource::Raw { .. } => {
                         raw_refreshed += 1;
-                        site.put_shared(path.as_str(), Arc::clone(res));
+                        changes.put_shared(path, Arc::clone(res));
                     }
                 },
             }
@@ -451,35 +489,170 @@ impl SitePublisher {
         // and re-checks only the locators into touched documents: every
         // other one resolved against the same document under the same
         // linkbase when the committed sources were checked.
+        let mut pages = Site::new();
         let pages_rewoven =
-            weave_pages_cached(next, &self.cache, &to_weave, &touched, &mut site)?.len();
-        // Reused = output entries this commit did not write: neither woven
-        // from an edited data document nor refreshed raw passthroughs.
-        let pages_reused = site.len().saturating_sub(pages_rewoven + raw_refreshed);
-        Ok((site, pages_rewoven, pages_reused))
+            weave_pages_cached(&self.sources, &self.cache, &to_weave, &touched, &mut pages)?.len();
+        for (path, page) in pages.iter_shared() {
+            changes.put_shared(path, Arc::clone(page));
+        }
+        Ok((changes, pages_rewoven, raw_refreshed))
+    }
+
+    /// One attempt at weaving and publishing the applied batch `staged`:
+    /// the full weave when `full`, else the incremental change set.
+    fn weave_and_publish(
+        &self,
+        staged: &[SourceEdit],
+        full: bool,
+        audit_roots: Option<&[&str]>,
+    ) -> Result<(Woven, IncrementalPublish), CoreError> {
+        fault::fire(
+            self.faults.as_deref(),
+            fault::sites::WEAVE_PAGE,
+            "publisher.commit",
+        )
+        .map_err(CoreError::from)?;
+        let audit = |site: &Site| match audit_roots {
+            Some(roots) => {
+                let report = audit_site(site, roots);
+                if report.is_clean() {
+                    Ok(())
+                } else {
+                    Err(CoreError::Audit(report))
+                }
+            }
+            None => Ok(()),
+        };
+        match (&self.last_woven, full) {
+            // Data/raw-only batches reweave O(K) and publish only what
+            // changed: every untouched page stays the previous weave's
+            // `Arc`, memoized content hash included.
+            (Some(prev), false) => {
+                let (changes, pages_rewoven, raw_refreshed) = self.incremental_changes(staged)?;
+                if audit_roots.is_some() {
+                    let mut site = prev.clone();
+                    changes.apply_to(&mut site);
+                    audit(&site)?;
+                }
+                let store_publish = self.store.try_publish_changes(&changes)?;
+                let woven = Woven::Changes {
+                    changes,
+                    pages_rewoven,
+                    raw_refreshed,
+                };
+                Ok((woven, store_publish))
+            }
+            // First commit, or a spec changed: any page may differ —
+            // weave the whole site.
+            _ => {
+                let WovenOutput { site, reports } = Weave {
+                    cache: Some(&self.cache),
+                    ..Weave::default()
+                }
+                .run(&self.sources)?;
+                let pages_rewoven = reports.len();
+                drop(reports);
+                audit(&site)?;
+                let store_publish = self.store.try_publish_incremental(&site)?;
+                Ok((
+                    Woven::Site {
+                        site,
+                        pages_rewoven,
+                    },
+                    store_publish,
+                ))
+            }
+        }
     }
 
     fn commit_inner(&mut self, audit_roots: Option<&[&str]>) -> Result<PublishOutcome, CoreError> {
-        let spec_changed = self.staged.iter().any(Self::edits_spec);
-        // A commit that weaves the whole site first frees the shards the
-        // store has retired (typically the weave before the last one), so
-        // they are not alive beside the new site at its peak. Freeing them
-        // here, before the spec work rather than just before the page
-        // weave, lets that work absorb the allocator's bookkeeping for the
-        // freed memory; the pages then weave into settled memory.
-        if spec_changed || self.last_woven.is_none() {
+        let spec_changed = self.staged.iter().any(SourceEdit::edits_spec);
+        let full = spec_changed || self.last_woven.is_none();
+        // A commit that weaves the whole site first frees what that weave
+        // supersedes — the last woven site, the shards the store has
+        // retired (typically the weave before the last one) and the spec
+        // documents the last full weave replaced — so none of it is alive
+        // beside the new site at its peak, and none of its frees land
+        // after the commit's last allocation, on the edit after it.
+        // Freeing here, before the spec work rather than just before the
+        // page weave, lets that work absorb the allocator's bookkeeping for
+        // the freed memory; the pages then weave into settled memory.
+        if full {
+            self.last_woven = None;
             self.store.free_retired();
+            self.superseded.clear();
         }
-        // Work on a copy so a failed weave/audit leaves the committed
-        // sources (and the staged batch) intact.
-        let mut next = self.sources.clone();
-        for edit in &self.staged {
-            edit.apply(&mut next);
+        // The batch is applied to the sources in place; `replaced` is the
+        // undo log that restores them if the commit fails.
+        let mut staged = std::mem::take(&mut self.staged);
+        let replaced: Vec<Option<Arc<Resource>>> = staged
+            .iter_mut()
+            .map(|edit| edit.apply(&mut self.sources))
+            .collect();
+        match self.publish_applied(&staged, full, spec_changed, audit_roots) {
+            Ok((woven, store_publish, retries)) => {
+                let (pages_rewoven, pages_reused) = match woven {
+                    Woven::Site {
+                        site,
+                        pages_rewoven,
+                    } => {
+                        self.last_woven = Some(site);
+                        (pages_rewoven, 0)
+                    }
+                    Woven::Changes {
+                        changes,
+                        pages_rewoven,
+                        raw_refreshed,
+                    } => {
+                        let site = self
+                            .last_woven
+                            .as_mut()
+                            .expect("incremental commits patch it");
+                        changes.apply_to(site);
+                        // Reused = output entries this commit did not
+                        // write: neither woven from an edited data document
+                        // nor refreshed raw passthroughs.
+                        let reused = site.len().saturating_sub(pages_rewoven + raw_refreshed);
+                        (pages_rewoven, reused)
+                    }
+                };
+                if full {
+                    self.superseded = replaced.into_iter().flatten().collect();
+                }
+                Ok(PublishOutcome {
+                    generation: store_publish.generation,
+                    edits_applied: staged.len(),
+                    resources_published: self.last_woven.as_ref().map_or(0, Site::len),
+                    pages_rewoven,
+                    pages_reused,
+                    store_publish,
+                    retries,
+                })
+            }
+            Err(error) => {
+                for (edit, replaced) in staged.iter_mut().zip(replaced).rev() {
+                    edit.unapply(&mut self.sources, replaced);
+                }
+                self.staged = staged;
+                Err(error)
+            }
         }
+    }
+
+    /// Gates, weaves and publishes the batch `staged`, already applied to
+    /// the sources, retrying transient failures. Returns what was woven,
+    /// the store's publish and the retry count.
+    fn publish_applied(
+        &self,
+        staged: &[SourceEdit],
+        full: bool,
+        spec_changed: bool,
+        audit_roots: Option<&[&str]>,
+    ) -> Result<(Woven, IncrementalPublish, u32), CoreError> {
         // The pre-weave gate: dangling locators are named from the sources
         // directly, before any transform or weave work is spent.
         if audit_roots.is_some() {
-            let report = lint_sources(&next);
+            let report = lint_sources(&self.sources);
             if report.has_errors() {
                 return Err(CoreError::SourceLint(report));
             }
@@ -494,72 +667,34 @@ impl SitePublisher {
         // The weave + store publish run inside the retry loop, with a
         // `catch_unwind` so an injected (or organic) panic becomes a
         // retriable [`CoreError::WorkerPanic`] instead of tearing down the
-        // caller. Every attempt starts from the same immutable `next`;
-        // `self` is only mutated after the whole attempt succeeds, so a
-        // retried commit is indistinguishable from a first-try one.
-        let retry = self.retry;
-        let faults = self.faults.clone();
-        let ((woven_site, pages_rewoven, pages_reused, store_publish), retries) = retry
-            .run_counted(|| {
-                let attempt = catch_unwind(AssertUnwindSafe(|| {
-                    fault::fire(
-                        faults.as_deref(),
-                        fault::sites::WEAVE_PAGE,
-                        "publisher.commit",
-                    )
-                    .map_err(CoreError::from)?;
-                    let (woven_site, pages_rewoven, pages_reused) = match &self.last_woven {
-                        // Data/raw-only batches reweave O(K): every
-                        // untouched page is the previous weave's `Arc`,
-                        // memoized content hash included.
-                        Some(prev) if !spec_changed => self.incremental_weave(&next, prev)?,
-                        // First commit, or a spec changed: any page may
-                        // differ — weave the whole site.
-                        _ => {
-                            let woven = Weave {
-                                cache: Some(&self.cache),
-                                ..Weave::default()
-                            }
-                            .run(&next)?;
-                            let pages_rewoven = woven.reports.len();
-                            (woven.site, pages_rewoven, 0)
-                        }
-                    };
-                    if let Some(roots) = audit_roots {
-                        let report = audit_site(&woven_site, roots);
-                        if !report.is_clean() {
-                            return Err(CoreError::Audit(report));
-                        }
-                    }
-                    let store_publish = self
-                        .store
-                        .try_publish_incremental(&woven_site)
-                        .map_err(CoreError::from)?;
-                    Ok((woven_site, pages_rewoven, pages_reused, store_publish))
-                }));
-                match attempt {
-                    Ok(result) => result,
-                    Err(payload) => Err(CoreError::WorkerPanic {
-                        path: "<commit>".to_string(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                }
-            })?;
-        let edits_applied = self.staged.len();
-        self.staged.clear();
-        self.sources = next;
-        let resources_published = woven_site.len();
-        self.last_woven = Some(woven_site);
-        Ok(PublishOutcome {
-            generation: store_publish.generation,
-            edits_applied,
-            resources_published,
-            pages_rewoven,
-            pages_reused,
-            store_publish,
-            retries,
-        })
+        // caller. Every attempt starts from the same applied sources, and
+        // nothing is mutated until the whole attempt succeeds, so a retried
+        // commit is indistinguishable from a first-try one.
+        let ((woven, store_publish), retries) = self.retry.run_counted(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                self.weave_and_publish(staged, full, audit_roots)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(CoreError::WorkerPanic {
+                    path: "<commit>".to_string(),
+                    message: panic_message(payload.as_ref()),
+                })
+            })
+        })?;
+        Ok((woven, store_publish, retries))
     }
+}
+
+/// What one successful weave attempt produced.
+enum Woven {
+    /// The whole site, woven from scratch.
+    Site { site: Site, pages_rewoven: usize },
+    /// The output changes of an incremental commit.
+    Changes {
+        changes: ChangeSet,
+        pages_rewoven: usize,
+        raw_refreshed: usize,
+    },
 }
 
 #[cfg(test)]

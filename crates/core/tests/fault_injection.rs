@@ -240,6 +240,67 @@ fn publisher_weave_panic_fault_is_retried() {
 }
 
 #[test]
+fn failed_linkbase_swap_restores_sources_and_staged_linkbase() {
+    use navsep_core::layout::LINKBASE_PATH;
+
+    let store = Arc::new(ShardedSiteStore::new(8));
+    let mut publisher = publisher_over(&store).with_retry_policy(RetryPolicy::none());
+    publisher.commit().unwrap();
+    let igt = separated_sources(
+        &paper_museum(),
+        &museum_navigation(),
+        &paper_spec(AccessStructureKind::IndexedGuidedTour),
+    )
+    .unwrap();
+    let igt_links = igt.get(LINKBASE_PATH).unwrap().document().unwrap().clone();
+    let before: Vec<_> = publisher
+        .sources()
+        .iter_shared()
+        .map(|(path, res)| (path.to_string(), Arc::clone(res)))
+        .collect();
+    publisher.stage(SourceEdit::put_document(LINKBASE_PATH, igt_links.clone()));
+    store.arm_faults(Arc::new(FaultPlan::new(41).rule(
+        FaultRule::at(sites::STORE_PUBLISH, FaultKind::Error("swap lost".into())).times(1),
+    )));
+    let err = publisher.commit().unwrap_err();
+    assert!(matches!(err, CoreError::Fault(_)), "got {err}");
+    assert_eq!(store.generation(), 1, "nothing published");
+    // The sources are exactly what they were, resource for resource.
+    let after = publisher.sources();
+    assert_eq!(after.len(), before.len());
+    for (path, res) in &before {
+        assert!(Arc::ptr_eq(res, after.get_shared(path).unwrap()), "{path}");
+    }
+    // The staged linkbase is back in its edit, unchanged.
+    match publisher.staged() {
+        [SourceEdit::PutDocument { path, doc }] => {
+            assert_eq!(path, LINKBASE_PATH);
+            assert_eq!(doc.to_xml_string(), igt_links.to_xml_string());
+        }
+        other => panic!("expected the staged linkbase, got {other:?}"),
+    }
+    // The fault budget is spent: the swap plus a data edit now land, and
+    // the served site is the from-scratch weave of the sources.
+    publisher.stage(SourceEdit::put_document(
+        "guitar.xml",
+        navsep_xml::Document::parse(
+            r#"<painting id="guitar"><title>Guitar, after the failed swap</title><year>1913</year></painting>"#,
+        )
+        .unwrap(),
+    ));
+    let outcome = publisher.commit().unwrap();
+    assert_eq!((outcome.generation, outcome.edits_applied), (2, 2));
+    let full = weave_separated(publisher.sources()).unwrap();
+    assert_sites_byte_identical(&full.site, &store.to_site(), "after the failed swap");
+    assert!(store
+        .get("guitar.html")
+        .unwrap()
+        .body()
+        .windows(b"rel=\"next\"".len())
+        .any(|w| w == b"rel=\"next\""));
+}
+
+#[test]
 fn retry_policy_none_fails_on_first_transient_fault() {
     let store = Arc::new(ShardedSiteStore::new(8));
     store.arm_faults(Arc::new(FaultPlan::new(37).rule(

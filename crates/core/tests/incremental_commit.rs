@@ -8,10 +8,15 @@
 //! addresses every document by XPointer (`#slug` shorthand or
 //! `#xpointer(//name[@id='slug'])`), so a batch can break a locator in two
 //! ways — change the target's `id`, or remove the target — and later
-//! batches restore it. After every commit:
+//! batches restore it. A batch may also swap the linkbase (Index ↔
+//! Indexed Guided Tour, both narrowed the same way), which takes the full
+//! weave. After every commit:
 //!
 //! * if the full weave fails, the commit fails with the same error text,
-//!   the generation does not move and the whole batch stays staged;
+//!   the generation does not move, the whole batch stays staged with its
+//!   documents unchanged, and the sources are the very resources they
+//!   were before the commit (the commit applies the batch in place and
+//!   rolls it back);
 //! * otherwise the commit succeeds and the store serves a site
 //!   DOM-equivalent to the full weave, page for page.
 //!
@@ -38,6 +43,22 @@ struct Fixture {
     sources: Site,
     /// `(path, original document)` of every locator target, sorted.
     targets: Vec<(String, Document)>,
+    /// The narrowed linkbase under the Index and under the Indexed Guided
+    /// Tour (the one `sources` carries).
+    linkbases: [Document; 2],
+}
+
+fn linkbase_text(access: AccessStructureKind) -> String {
+    separated_sources(
+        &generated_museum(2, 3, 2, 7),
+        &museum_navigation(),
+        &paper_spec(access),
+    )
+    .expect("generated museum separates")
+    .get(LINKBASE_PATH)
+    .and_then(|res| res.document())
+    .expect("links.xml")
+    .to_xml_string()
 }
 
 fn fixture() -> Fixture {
@@ -47,11 +68,8 @@ fn fixture() -> Fixture {
         &paper_spec(AccessStructureKind::IndexedGuidedTour),
     )
     .expect("generated museum separates");
-    let mut links = sources
-        .get(LINKBASE_PATH)
-        .and_then(|res| res.document())
-        .expect("links.xml")
-        .to_xml_string();
+    let mut links = linkbase_text(AccessStructureKind::IndexedGuidedTour);
+    let mut index_links = linkbase_text(AccessStructureKind::Index);
     let mut targets = Vec::new();
     for (path, res) in sources.iter() {
         let Some(doc) = res.document() else { continue };
@@ -69,18 +87,23 @@ fn fixture() -> Fixture {
         } else {
             format!("xpointer(//{name}[@id='{slug}'])")
         };
-        links = links.replace(&whole, &format!("xlink:href=\"{path}#{pointer}\""));
+        let narrowed = format!("xlink:href=\"{path}#{pointer}\"");
+        links = links.replace(&whole, &narrowed);
+        index_links = index_links.replace(&whole, &narrowed);
         targets.push((path.to_string(), doc.clone()));
     }
     assert!(
         targets.len() >= 8,
         "every data document is a locator target"
     );
-    sources.put_document(
-        LINKBASE_PATH,
-        Document::parse(&links).expect("narrowed linkbase parses"),
-    );
-    Fixture { sources, targets }
+    let igt = Document::parse(&links).expect("narrowed linkbase parses");
+    let index = Document::parse(&index_links).expect("narrowed linkbase parses");
+    sources.put_document(LINKBASE_PATH, igt.clone());
+    Fixture {
+        sources,
+        targets,
+        linkbases: [index, igt],
+    }
 }
 
 /// One edit of a random batch. Target indexes wrap over the fixture's
@@ -100,6 +123,9 @@ enum Edit {
     /// Adds a data document no locator points at (a page without
     /// navigation).
     Unreferenced(u8),
+    /// Puts the narrowed Index (`false`) or Indexed Guided Tour (`true`)
+    /// linkbase.
+    Linkbase(bool),
 }
 
 fn edit() -> impl Strategy<Value = Edit> {
@@ -110,6 +136,7 @@ fn edit() -> impl Strategy<Value = Edit> {
         3 => (0usize..64).prop_map(Edit::Restore),
         1 => (0u8..8).prop_map(Edit::Css),
         1 => (0u8..4).prop_map(Edit::Unreferenced),
+        1 => (0u8..2).prop_map(|igt| Edit::Linkbase(igt == 1)),
     ]
 }
 
@@ -154,7 +181,20 @@ impl Edit {
                 ))
                 .expect("extra document parses"),
             ),
+            Edit::Linkbase(igt) => {
+                SourceEdit::put_document(LINKBASE_PATH, fixture.linkbases[usize::from(igt)].clone())
+            }
         }
+    }
+}
+
+/// A staged edit as comparable text: its path, kind and content.
+fn edit_text(edit: &SourceEdit) -> String {
+    match edit {
+        SourceEdit::PutDocument { path, doc } => format!("put {path} {}", doc.to_xml_string()),
+        SourceEdit::PutRaw { path, text } => format!("raw {path} {text}"),
+        SourceEdit::Remove { path } => format!("remove {path}"),
+        other => panic!("unmodelled edit {other:?}"),
     }
 }
 
@@ -185,8 +225,10 @@ proptest! {
         publisher.commit().expect("the narrowed sources weave");
         let mut model = fixture.sources.clone();
         let mut staged = 0usize;
+        let mut spec_staged = false;
         for (step, batch) in script.iter().enumerate() {
             for edit in batch {
+                spec_staged |= matches!(edit, Edit::Linkbase(_));
                 let edit = edit.to_source_edit(&fixture);
                 apply(&mut model, &edit);
                 publisher.stage(edit);
@@ -194,20 +236,40 @@ proptest! {
             }
             let generation = store.generation();
             let full = weave_separated(&model);
+            let sources_before: Vec<_> = publisher
+                .sources()
+                .iter_shared()
+                .map(|(path, res)| (path.to_string(), Arc::clone(res)))
+                .collect();
+            let staged_before: Vec<String> = publisher.staged().iter().map(edit_text).collect();
             match (full, publisher.commit()) {
                 (Err(want), Err(got)) => {
                     prop_assert_eq!(got.to_string(), want.to_string(), "step {}", step);
                     prop_assert_eq!(store.generation(), generation, "step {}", step);
                     prop_assert_eq!(publisher.staged_len(), staged, "step {}", step);
+                    // The rollback law: the same resources per path, and
+                    // the batch staged as it was.
+                    let sources = publisher.sources();
+                    prop_assert_eq!(sources.len(), sources_before.len(), "step {}", step);
+                    for (path, res) in &sources_before {
+                        prop_assert!(
+                            sources.get_shared(path).is_some_and(|now| Arc::ptr_eq(res, now)),
+                            "step {}: {} is not the resource it was", step, path
+                        );
+                    }
+                    let staged_after: Vec<String> =
+                        publisher.staged().iter().map(edit_text).collect();
+                    prop_assert_eq!(staged_after, staged_before, "step {}", step);
                 }
                 (Ok(full), Ok(outcome)) => {
                     prop_assert_eq!(outcome.generation, generation + 1);
                     prop_assert_eq!(outcome.edits_applied, staged);
                     prop_assert!(
-                        outcome.pages_rewoven <= staged,
+                        spec_staged || outcome.pages_rewoven <= staged,
                         "step {}: O(edits) reweave, got {:?}", step, outcome
                     );
                     staged = 0;
+                    spec_staged = false;
                     prop_assert_eq!(publisher.staged_len(), 0);
                     assert_site_equivalent(&full.site, &store.to_site())
                         .map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;

@@ -80,7 +80,7 @@ pub use server::{Handler, PoolConfig, ServerPool, SiteHandler, RETRY_AFTER_HEADE
 pub use session::{NavigationSession, SessionError, Visit};
 pub use site::{MediaType, Resource, Site};
 pub use store::{
-    page_shard_hash, EpochPin, IncrementalPublish, ResourceRead, ShardedSiteHandler,
+    page_shard_hash, ChangeSet, EpochPin, IncrementalPublish, ResourceRead, ShardedSiteHandler,
     ShardedSiteStore, AT_GENERATION_HEADER, DEFAULT_RETENTION, DEGRADED_HEADER, GENERATION_HEADER,
     IF_GENERATION_HEADER, STALE_HEADER,
 };

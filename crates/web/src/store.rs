@@ -29,16 +29,21 @@
 //!
 //! [`publish`](ShardedSiteStore::publish) re-renders and re-allocates every
 //! page into fresh shard snapshots — O(site) work even for a one-page edit.
-//! [`publish_incremental`](ShardedSiteStore::publish_incremental) diffs the
-//! new site against the previous epoch per shard, keyed by a stable content
-//! key ([`navsep_xml::Document::content_hash`] for documents, an FNV of the
-//! raw bytes otherwise): unchanged entries reuse the previous epoch's
-//! `Arc<Published>` verbatim (no render, no allocation), and shards with no
-//! changed pages are neither rebuilt nor swapped — they keep their old
-//! snapshot and its old generation stamp. A K-page edit renders O(K) pages
-//! and rebuilds the path maps of the shards they live in, not O(site);
-//! `cargo bench -p navsep-bench --bench server_throughput`
-//! (`incremental_publish` group) quantifies the gap.
+//! The incremental path applies a [`ChangeSet`] (path → new resource, or
+//! removal) to the live epoch, keyed by a stable content key
+//! ([`navsep_xml::Document::content_hash`] for documents, an FNV of the raw
+//! bytes otherwise): a put whose key is unchanged reuses the previous
+//! epoch's `Arc<Published>` verbatim (no render, no allocation), a changed
+//! shard's path map is copied once and patched, and shards with no changed
+//! page are neither rebuilt nor swapped — they keep their old snapshot and
+//! its old generation stamp. A caller that knows what it changed publishes
+//! the change set directly
+//! ([`try_publish_changes`](ShardedSiteStore::try_publish_changes)), which
+//! looks only at the shards it lands in;
+//! [`publish_incremental`](ShardedSiteStore::publish_incremental) diffs a
+//! whole site into one first and applies it the same way. `cargo bench -p
+//! navsep-bench --bench server_throughput` (`incremental_publish` group)
+//! quantifies the gap to the full path.
 //!
 //! ## Retained epochs and time travel
 //!
@@ -65,22 +70,24 @@
 //! 2. swap the changed shard pointers, then store the new generation;
 //! 3. retire the victims: each of their shards that the store owned alone
 //!    (no newer epoch shares it, no read holds it) goes to the back of a
-//!    retired backlog, and the publishing thread frees one backlog shard
-//!    per shard the publish swapped, at least one — the oldest if it was
-//!    retired `shard_count` or more publishes ago, else the newest — plus,
-//!    oldest first, whatever exceeds one site's worth (`shard_count`
-//!    shards).
+//!    retired backlog, and the publishing thread drops backlog entries
+//!    newest first, on a **page budget**: an entry something else still
+//!    shares (a live epoch, another retired shard) costs one decrement and
+//!    is always dropped, while pages only the backlog holds are freed up to
+//!    the number of pages the publish rendered, at least one. Then the
+//!    oldest shard is freed whole if it was retired `shard_count` or more
+//!    publishes ago, and so is, oldest first, whatever exceeds one site's
+//!    worth (`shard_count` shards).
 //!
 //! Evicting the last epoch that holds a superseded full weave (the
-//! epochs after a `links.xml` swap) therefore costs the publish that
-//! evicts it one shard's free, not the whole weave's, and never before
-//! that publish is visible. The edits after it free the small shards
-//! their own victims retire, newest first. A caller about to build a
-//! whole new site frees the rest with
-//! [`free_retired`](ShardedSiteStore::free_retired) first, so the old
-//! site is not alive beside the new one; without one, every retired shard
-//! is freed within `2 × shard_count` publishes. Dropping the store frees
-//! the backlog at once.
+//! epochs after a `links.xml` swap) therefore costs the one-page edit that
+//! evicts it one page's free, not a shard's or the whole weave's, and never
+//! before that publish is visible. A caller about to build a whole new
+//! site frees the rest with
+//! [`free_retired`](ShardedSiteStore::free_retired) first, so the old site
+//! is not alive beside the new one; without one, every retired shard is
+//! freed within `2 × shard_count` publishes. Dropping the store frees the
+//! backlog at once.
 
 use crate::fault::{self, FaultError, FaultKind, FaultPlan};
 use crate::http::{Method, Request, Response};
@@ -256,6 +263,97 @@ pub struct IncrementalPublish {
     pub shards_skipped: usize,
 }
 
+/// Output changes to publish: each path maps to its new resource, or to a
+/// removal. Later changes to a path replace earlier ones. Paths are stored
+/// without a leading `/`, as in a [`Site`].
+///
+/// [`ShardedSiteStore::try_publish_changes`] applies one to the live epoch;
+/// [`apply_to`](Self::apply_to) applies the same changes to a [`Site`].
+///
+/// # Examples
+///
+/// ```
+/// use navsep_web::{ChangeSet, ShardedSiteStore, Site};
+/// use navsep_xml::Document;
+/// use std::sync::Arc;
+///
+/// let mut site = Site::new();
+/// site.put_text("a.txt", "one");
+/// site.put_text("b.txt", "two");
+/// let store = ShardedSiteStore::from_site(4, &site);
+///
+/// let mut changes = ChangeSet::new();
+/// changes.put_shared("a.txt", Arc::new(navsep_web::Resource::Document {
+///     media_type: navsep_web::MediaType::Xml,
+///     doc: Document::parse("<a>edited</a>")?,
+/// }));
+/// changes.remove("b.txt");
+/// let stats = store.try_publish_changes(&changes).expect("no faults armed");
+/// assert_eq!((stats.pages_rendered, stats.pages_reused), (1, 0));
+/// assert!(store.get("b.txt").is_none());
+///
+/// changes.apply_to(&mut site);
+/// assert_eq!(site.len(), store.len());
+/// # Ok::<(), navsep_xml::ParseXmlError>(())
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ChangeSet {
+    changes: BTreeMap<String, Option<Arc<Resource>>>,
+}
+
+impl ChangeSet {
+    /// An empty change set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Puts `resource` at `path`.
+    pub fn put_shared(&mut self, path: &str, resource: Arc<Resource>) {
+        self.set(path, Some(resource));
+    }
+
+    /// Removes whatever is at `path` (a no-op where nothing is).
+    pub fn remove(&mut self, path: &str) {
+        self.set(path, None);
+    }
+
+    fn set(&mut self, path: &str, change: Option<Arc<Resource>>) {
+        self.changes
+            .insert(path.trim_start_matches('/').to_string(), change);
+    }
+
+    /// The changes, sorted by path: `Some` is a put, `None` a removal.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, Option<&Arc<Resource>>)> {
+        self.changes
+            .iter()
+            .map(|(path, change)| (path.as_str(), change.as_ref()))
+    }
+
+    /// Applies the changes to `site` in place, sharing every put resource.
+    pub fn apply_to(&self, site: &mut Site) {
+        for (path, change) in self.iter() {
+            match change {
+                Some(res) => site.put_shared(path, Arc::clone(res)),
+                None => {
+                    site.remove_shared(path);
+                }
+            }
+        }
+    }
+}
+
+/// What an incremental publish applies to the live epoch.
+#[derive(Clone, Copy)]
+enum Changes<'a> {
+    /// The whole next site, diffed against the live epoch.
+    Site(&'a Site),
+    /// The changes alone.
+    Set(&'a ChangeSet),
+}
+
+/// One change by path: a put (`Some`) or a removal.
+type Change<'a> = (&'a str, Option<&'a Arc<Resource>>);
+
 /// An RAII pin keeping one generation's epoch in the retention ring while
 /// live sessions' histories still reference it (see
 /// [`ShardedSiteStore::pin`]). Dropping the pin releases the bias.
@@ -332,8 +430,8 @@ pub struct ShardedSiteStore {
     pins: Mutex<BTreeMap<u64, usize>>,
     /// Shards of evicted epochs that the store owned alone, each with the
     /// generation that retired it, oldest first, waiting to be freed by
-    /// later publishes (see the module docs). At most one site's worth —
-    /// `shards.len()` — once a publish returns.
+    /// later publishes a page at a time (see the module docs). At most one
+    /// site's worth — `shards.len()` — once a publish returns.
     retired: Mutex<VecDeque<(u64, Shard)>>,
     /// Ring capacity (≥ 1).
     retain: usize,
@@ -520,29 +618,26 @@ impl ShardedSiteStore {
         }
         self.generation.store(generation, Ordering::Release);
         drop(swap_guard);
-        self.retire(evicted, n, generation);
+        self.retire(evicted, site.len(), generation);
         generation
     }
 
     /// Publishes `site` as the next generation by **diffing against the
-    /// previous epoch**: entries whose content key is unchanged reuse the
-    /// previous `Arc<Published>` verbatim (no render, no allocation), and
-    /// shards with no changed, added, or removed entries are not swapped
-    /// at all — they keep their old snapshot and its old generation stamp.
+    /// previous epoch**: the site is diffed into a [`ChangeSet`] (every
+    /// path whose resource is not the very `Arc` the previous epoch
+    /// serves, plus a removal for every path the site dropped), which is
+    /// then applied exactly as [`try_publish_changes`] applies one.
+    /// Entries whose content key is unchanged reuse the previous
+    /// `Arc<Published>` verbatim (no render, no allocation), and shards
+    /// with no changed, added, or removed entries are not swapped at all —
+    /// they keep their old snapshot and its old generation stamp.
     ///
     /// The diff runs under the publish lock (so it is against exactly the
     /// epoch being replaced); readers are never blocked — they keep being
-    /// served the previous epoch until each shard's pointer swap.
-    ///
-    /// The content key of a document is its memoized
-    /// [`content_hash`](navsep_xml::Document::content_hash), so an
-    /// unchanged entry costs one memo read, one key comparison and one
-    /// `Arc` clone. Publishing a site that shares its unchanged resources
-    /// with the previous weave (what
-    /// [`SitePublisher`](https://docs.rs/navsep-core) maintains) renders
-    /// and allocates bodies for the changed pages only, and builds path
-    /// maps for the changed shards only; the walk over the site itself
-    /// stays O(site) in those cheap steps.
+    /// served the previous epoch until each shard's pointer swap. The diff
+    /// walks the whole site; a caller that knows what it changed (what
+    /// [`SitePublisher`](https://docs.rs/navsep-core) does) publishes that
+    /// change set directly instead.
     ///
     /// A publish that changes nothing still advances the global
     /// generation (the epoch ring records it), but no shard is touched.
@@ -550,8 +645,10 @@ impl ShardedSiteStore {
     /// This path never consults an armed fault plan (and thus cannot
     /// fail); the transactional entry point for chaos testing is
     /// [`try_publish_incremental`](Self::try_publish_incremental).
+    ///
+    /// [`try_publish_changes`]: Self::try_publish_changes
     pub fn publish_incremental(&self, site: &Site) -> IncrementalPublish {
-        match self.publish_incremental_impl(site, false) {
+        match self.apply_changes(Changes::Site(site), false) {
             Ok(publish) => publish,
             Err(_) => unreachable!("publish_incremental never consults fault plans"),
         }
@@ -565,71 +662,113 @@ impl ShardedSiteStore {
     /// same generation, same retained ring, no shard touched. Generations
     /// stay monotone across any mix of failed and successful publishes.
     pub fn try_publish_incremental(&self, site: &Site) -> Result<IncrementalPublish, FaultError> {
-        self.publish_incremental_impl(site, true)
+        self.apply_changes(Changes::Site(site), true)
     }
 
-    fn publish_incremental_impl(
+    /// Publishes the live epoch with `changes` applied as the next
+    /// generation — the incremental publish of a caller that knows what
+    /// it changed. Only the shards a change lands in are looked at: a put
+    /// whose content key equals the live entry's reuses that entry, and a
+    /// shard left with no rendered, added or removed entry keeps its
+    /// snapshot and stamp. A changed shard's path map is copied once and
+    /// patched. The counts are those [`publish_incremental`] reports for
+    /// the site the change set produces.
+    ///
+    /// Consults an [armed](Self::arm_faults) fault plan exactly as
+    /// [`try_publish_incremental`](Self::try_publish_incremental) does; an
+    /// `Err` leaves the old epoch fully intact.
+    ///
+    /// [`publish_incremental`]: Self::publish_incremental
+    pub fn try_publish_changes(
         &self,
-        site: &Site,
+        changes: &ChangeSet,
+    ) -> Result<IncrementalPublish, FaultError> {
+        self.apply_changes(Changes::Set(changes), true)
+    }
+
+    /// The one incremental publish: under the publish lock, `changes` is
+    /// taken as a change set against the live epoch (a whole site is
+    /// diffed into one: every path whose resource is not the very `Arc`
+    /// the live epoch serves, plus a removal of every path it dropped),
+    /// applied shard by shard, then (after the fault check) retained and
+    /// swapped in.
+    fn apply_changes(
+        &self,
+        changes: Changes<'_>,
         consult_faults: bool,
     ) -> Result<IncrementalPublish, FaultError> {
         let n = self.shards.len();
         let swap_guard = lock(&self.publish_lock);
         let generation = self.generation.load(Ordering::Acquire) + 1;
         let previous: Vec<Arc<Shard>> = self.shards.iter().map(|s| Arc::clone(&read(s))).collect();
-        // Bucket the site by shard without copying a path; a shard's map is
-        // rebuilt only when the shard changed.
-        let mut buckets: Vec<Vec<(&str, &Arc<Resource>)>> = vec![Vec::new(); n];
-        for (path, res) in site.iter_shared() {
-            buckets[self.shard_of(path)].push((path, res));
+        // The changes by shard, borrowing every path: a whole-site diff
+        // allocates no path copies that the publish would free at its end.
+        let mut buckets: Vec<Vec<Change<'_>>> = vec![Vec::new(); n];
+        match changes {
+            Changes::Set(set) => {
+                for (path, change) in set.iter() {
+                    buckets[self.shard_of(path)].push((path, change));
+                }
+            }
+            Changes::Site(site) => {
+                for (path, res) in site.iter_shared() {
+                    let idx = self.shard_of(path);
+                    let live = previous[idx].resources.get(path);
+                    if !live.is_some_and(|published| Arc::ptr_eq(&published.resource, res)) {
+                        buckets[idx].push((path, Some(res)));
+                    }
+                }
+                for (idx, shard) in previous.iter().enumerate() {
+                    for path in shard.resources.keys() {
+                        if site.get_shared(path).is_none() {
+                            buckets[idx].push((path, None));
+                        }
+                    }
+                }
+            }
         }
-        let mut changed = vec![false; n];
-        let mut epoch_shards = Vec::with_capacity(n);
-        let mut pages_reused = 0;
         let mut pages_rendered = 0;
+        let mut epoch_shards = previous.clone();
+        let mut changed = vec![false; n];
         for (idx, bucket) in buckets.into_iter().enumerate() {
             let prev = &previous[idx];
-            let keyed: Vec<_> = bucket
-                .into_iter()
-                .map(|(path, res)| {
-                    let (key, rendered) = content_key(res);
-                    let reused = prev
-                        .resources
-                        .get(path)
-                        .filter(|published| published.content_key == key);
-                    (path, res, key, rendered, reused)
-                })
-                .collect();
-            // Unchanged: every entry reused and none removed.
-            if keyed.len() == prev.resources.len()
-                && keyed.iter().all(|(.., reused)| reused.is_some())
-            {
-                pages_reused += keyed.len();
-                epoch_shards.push(Arc::clone(prev));
-                continue;
+            // Copied from the live shard on its first real change only.
+            let mut patched: Option<BTreeMap<String, Arc<Published>>> = None;
+            for (path, change) in bucket {
+                match change {
+                    Some(res) => {
+                        let (key, rendered) = content_key(res);
+                        let live = prev.resources.get(path);
+                        if live.is_some_and(|published| published.content_key == key) {
+                            continue;
+                        }
+                        pages_rendered += 1;
+                        let entry = Arc::new(Published::new(res, key, rendered));
+                        let resources = patched.get_or_insert_with(|| prev.resources.clone());
+                        match resources.get_mut(path) {
+                            Some(slot) => *slot = entry,
+                            None => {
+                                resources.insert(path.to_string(), entry);
+                            }
+                        }
+                    }
+                    None if prev.resources.contains_key(path) => {
+                        patched
+                            .get_or_insert_with(|| prev.resources.clone())
+                            .remove(path);
+                    }
+                    None => {}
+                }
             }
-            changed[idx] = true;
-            let resources = keyed
-                .into_iter()
-                .map(|(path, res, key, rendered, reused)| {
-                    let entry = match reused {
-                        Some(published) => {
-                            pages_reused += 1;
-                            Arc::clone(published)
-                        }
-                        None => {
-                            pages_rendered += 1;
-                            Arc::new(Published::new(res, key, rendered))
-                        }
-                    };
-                    (path.to_string(), entry)
-                })
-                .collect();
-            epoch_shards.push(Arc::new(Shard {
-                generation,
-                resources,
-            }));
+            if let Some(resources) = patched {
+                changed[idx] = true;
+                epoch_shards[idx] = Arc::new(Shard {
+                    generation,
+                    resources,
+                });
+            }
         }
+        let entries: usize = epoch_shards.iter().map(|s| s.resources.len()).sum();
         let shards_swapped = changed.iter().filter(|&&c| c).count();
         // The last moment a publish can abort cleanly: nothing below this
         // point may fail, because retention and shard swaps must land
@@ -650,10 +789,15 @@ impl ShardedSiteStore {
         }
         self.generation.store(generation, Ordering::Release);
         drop(swap_guard);
-        self.retire(evicted, shards_swapped, generation);
+        // A shard this publish replaced may also sit in an evicted epoch:
+        // released here, the ring's reference is its last, so retirement
+        // frees it on the page budget instead of this snapshot freeing it
+        // whole at the end of the publish.
+        drop(previous);
+        self.retire(evicted, pages_rendered, generation);
         Ok(IncrementalPublish {
             generation,
-            pages_reused,
+            pages_reused: entries - pages_rendered,
             pages_rendered,
             shards_swapped,
             shards_skipped: n - shards_swapped,
@@ -691,43 +835,53 @@ impl ShardedSiteStore {
     /// that publish went live. Their shards that the store owned alone join
     /// the back of the retired backlog (a shard a newer epoch or an
     /// in-flight read still holds is only released). Then this thread
-    /// frees one backlog shard per shard the publish `swapped`, at least
-    /// one: the oldest while it is overdue (retired `shard_count` or more
-    /// publishes ago), otherwise the newest. Whatever exceeds one site's
-    /// worth of shards is freed too, oldest first.
+    /// drops backlog entries newest first: an entry something else still
+    /// shares (a live epoch, another retired shard) costs one decrement and
+    /// is always dropped, while pages only the backlog holds are freed up
+    /// to `rendered` (the pages this publish rendered), at least one; a
+    /// drained shard leaves the backlog. Finally the oldest shard is freed
+    /// whole if it is overdue (retired `shard_count` or more publishes
+    /// ago), and so is, oldest first, whatever exceeds one site's worth
+    /// (`shard_count` shards).
     ///
-    /// Newest-first keeps a just-superseded full weave out of the edits
-    /// that follow it: those free the small shards their own victims
-    /// retire, and the next full weave frees the rest up front (see
+    /// The page budget keeps a just-superseded full weave out of the edits
+    /// that follow it: each frees as many old pages as it rendered new
+    /// ones, and the next full weave frees the rest up front (see
     /// [`free_retired`](Self::free_retired)). Overdue-first bounds how
     /// long any shard waits when no full weave comes.
-    fn retire(&self, evicted: Vec<Epoch>, swapped: usize, generation: u64) {
+    fn retire(&self, evicted: Vec<Epoch>, rendered: usize, generation: u64) {
         let site_worth = self.shards.len();
-        let mut freed = Vec::new();
-        {
-            let mut backlog = lock(&self.retired);
-            backlog.extend(
-                evicted
-                    .into_iter()
-                    .flat_map(|epoch| epoch.shards)
-                    .filter_map(Arc::into_inner)
-                    .map(|shard| (generation, shard)),
-            );
-            for _ in 0..swapped.max(1) {
-                let overdue = backlog.front().is_some_and(|(retired_at, _)| {
-                    generation.saturating_sub(*retired_at) >= site_worth as u64
-                });
-                freed.extend(if overdue {
-                    backlog.pop_front()
-                } else {
-                    backlog.pop_back()
-                });
+        let mut backlog = lock(&self.retired);
+        backlog.extend(
+            evicted
+                .into_iter()
+                .flat_map(|epoch| epoch.shards)
+                .filter_map(Arc::into_inner)
+                .map(|shard| (generation, shard)),
+        );
+        let mut budget = rendered.max(1);
+        while let Some((_, shard)) = backlog.back_mut() {
+            let Some((_, entry)) = shard.resources.last_key_value() else {
+                backlog.pop_back();
+                continue;
+            };
+            if Arc::strong_count(entry) == 1 {
+                if budget == 0 {
+                    break;
+                }
+                budget -= 1;
             }
-            while backlog.len() > site_worth {
-                freed.extend(backlog.pop_front());
-            }
+            shard.resources.pop_last();
         }
-        drop(freed);
+        let overdue = backlog.front().is_some_and(|(retired_at, _)| {
+            generation.saturating_sub(*retired_at) >= site_worth as u64
+        });
+        if overdue {
+            backlog.pop_front();
+        }
+        while backlog.len() > site_worth {
+            backlog.pop_front();
+        }
     }
 
     /// Frees every retired shard now, returning how many there were. A
@@ -739,7 +893,7 @@ impl ShardedSiteStore {
         freed.len()
     }
 
-    /// Shard snapshots evicted from the ring and not yet freed: at most
+    /// Shard snapshots evicted from the ring and not yet (fully) freed: at most
     /// [`shard_count`](Self::shard_count) once a publish has returned.
     pub fn retired_shards(&self) -> usize {
         lock(&self.retired).len()
@@ -1411,8 +1565,20 @@ mod tests {
         );
     }
 
+    /// `(entries, entries something besides the backlog still shares)`
+    /// across the retired backlog.
+    fn backlog_entries(store: &ShardedSiteStore) -> (usize, usize) {
+        let backlog = lock(&store.retired);
+        let entries = backlog
+            .iter()
+            .flat_map(|(_, shard)| shard.resources.values());
+        entries.fold((0, 0), |(all, shared), entry| {
+            (all + 1, shared + usize::from(Arc::strong_count(entry) > 1))
+        })
+    }
+
     #[test]
-    fn one_page_publishes_free_retired_shards_one_at_a_time() {
+    fn one_page_publishes_free_retired_pages_one_at_a_time() {
         let store = ShardedSiteStore::with_retention(4, 2);
         for round in 0..3 {
             store.publish(&pages(40, &format!("v{round}")));
@@ -1422,21 +1588,29 @@ mod tests {
                 "a full publish frees what it retires"
             );
         }
-        // Evicting a full epoch retires its four shards; each one-page
-        // publish frees one shard, and retires the one shard its victim
-        // held alone.
+        // Evicting a full epoch retires its four shards and their forty
+        // pages, which only the backlog holds; a one-page publish frees
+        // one of them.
         let mut site = pages(40, "v2");
-        for round in 0..2 {
-            site.put_text("p0.txt", format!("edited {round}"));
-            let stats = store.publish_incremental(&site);
-            assert_eq!(stats.shards_swapped, 1);
-            assert_eq!(store.retired_shards(), 3, "round {round}");
-        }
+        site.put_text("p0.txt", "edited 0");
+        assert_eq!(store.publish_incremental(&site).pages_rendered, 1);
+        assert_eq!(store.retired_shards(), 4);
+        assert_eq!(backlog_entries(&store), (39, 0));
+        // The next one evicts the other full epoch: every shard it shared
+        // with the live epoch is only released, and the one it held alone
+        // retires with one page of its own and entries the live epoch
+        // still serves. The shared entries are all dropped, and one page
+        // is freed: the backlog keeps the 39 pages and no shared entry.
+        site.put_text("p0.txt", "edited 1");
+        assert_eq!(store.publish_incremental(&site).pages_rendered, 1);
+        assert_eq!(store.retired_shards(), 4);
+        assert_eq!(backlog_entries(&store), (39, 0));
         // Freeing the backlog outright leaves the ring and its replays.
         let retained = store.retained_generations();
         let before = store.get_at("p0.txt", retained[0]).unwrap().body();
-        assert_eq!(store.free_retired(), 3);
+        assert_eq!(store.free_retired(), 4);
         assert_eq!(store.retired_shards(), 0);
+        assert_eq!(backlog_entries(&store), (0, 0));
         assert_eq!(store.retained_generations(), retained);
         assert_eq!(store.get_at("p0.txt", retained[0]).unwrap().body(), before);
     }

@@ -16,6 +16,12 @@
 //!   them, which is the precision the conditional-navigation check
 //!   builds on).
 //!
+//! A third store, the twin, publishes the same script as change sets: the
+//! changed pages, removals of the dropped ones, plus no-op puts and
+//! removals. `change-set publish ≡ whole-site incremental publish` means
+//! the same bytes and stamps per path and the same
+//! [`IncrementalPublish`](navsep_web::IncrementalPublish), step by step.
+//!
 //! A publisher-level end-to-end test replays a data-edit script through
 //! `SitePublisher` (which rides the incremental path) against from-scratch
 //! weaves of the same sources.
@@ -28,7 +34,7 @@
 //! the store is dropped), and the not-yet-freed backlog stays within one
 //! site's worth of shards.
 
-use navsep_web::{Resource, ShardedSiteStore, Site};
+use navsep_web::{ChangeSet, Resource, ShardedSiteStore, Site};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Weak};
@@ -60,20 +66,51 @@ fn script_strategy() -> impl Strategy<Value = Vec<Step>> {
     )
 }
 
+/// The change set from `previous` to `step`: a put of every changed page
+/// and a removal of every dropped one, plus, chosen by `index`, a no-op
+/// put of an unchanged page (its content key matches, so it is reused)
+/// and a no-op removal of an absent one.
+fn changes_of(previous: &Step, step: &Step, site: &Site, index: usize) -> ChangeSet {
+    let mut changes = ChangeSet::new();
+    for (slot, (before, now)) in previous.iter().zip(step).enumerate() {
+        let path = path_of(slot);
+        let noop = (slot + index).is_multiple_of(3);
+        match (before == now, site.get_shared(&path)) {
+            (false, Some(res)) => changes.put_shared(&path, Arc::clone(res)),
+            (false, None) => changes.remove(&path),
+            (true, Some(res)) if noop => changes.put_shared(&path, Arc::clone(res)),
+            (true, None) if noop => changes.remove(&path),
+            (true, _) => {}
+        }
+    }
+    changes
+}
+
 proptest! {
     /// The law: `incremental publish ≡ full publish` over random edit
     /// scripts — identical served bodies and identical global
-    /// generations, step by step.
+    /// generations, step by step — and `change-set publish ≡ whole-site
+    /// incremental publish`.
     #[test]
     fn incremental_publish_equals_full_publish(script in script_strategy()) {
         let full = ShardedSiteStore::new(4);
         let incremental = ShardedSiteStore::new(4);
+        let twin = ShardedSiteStore::new(4);
         let mut previous: Step = vec![None; PATHS];
-        for step in script {
+        for (index, step) in script.into_iter().enumerate() {
             let site = site_of(&step);
             let g_full = full.publish(&site);
             let stats = incremental.publish_incremental(&site);
             prop_assert_eq!(g_full, stats.generation, "generation sequences must match");
+            let changes = changes_of(&previous, &step, &site, index);
+            let twin_stats = twin.try_publish_changes(&changes).expect("no faults armed");
+            prop_assert_eq!(&twin_stats, &stats, "step {}: {:?}", index, changes);
+            for slot in 0..PATHS {
+                let path = path_of(slot);
+                let a = incremental.get(&path).map(|r| (r.generation(), r.body()));
+                let b = twin.get(&path).map(|r| (r.generation(), r.body()));
+                prop_assert_eq!(a, b, "step {}: {}", index, &path);
+            }
             prop_assert_eq!(full.generation(), incremental.generation());
             prop_assert_eq!(full.len(), incremental.len());
             for slot in 0..PATHS {
