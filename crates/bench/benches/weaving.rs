@@ -43,10 +43,10 @@ fn bench_weave_pipeline_cached(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pages", n), &sources, |b, sources| {
             b.iter(|| cached.run(sources).expect("pipeline").site.len())
         });
-        // Transform, linkbase, navigation map, traversal list and the
-        // compiled weaver each miss exactly once (the warm-up); the loop
-        // itself never recompiles.
-        assert_eq!(cache.misses(), 5, "steady state must not recompile");
+        // The transform, the expanded linkbase and the compiled weaver
+        // each miss exactly once (the warm-up); the loop itself never
+        // recompiles.
+        assert_eq!(cache.misses(), 3, "steady state must not recompile");
     }
     group.finish();
 }

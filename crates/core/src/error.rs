@@ -27,8 +27,8 @@ pub enum CoreError {
     Pipeline(String),
     /// An audit-gated publish found problems and refused to go live.
     Audit(crate::audit::AuditReport),
-    /// The pre-weave source lint found gating problems (dangling
-    /// locators) and refused to weave at all — cheaper than discovering
+    /// The pre-weave source lint found gating problems (locators the
+    /// weave cannot resolve) and refused to weave at all — cheaper than discovering
     /// them in the woven output.
     SourceLint(crate::lint::SourceLintReport),
     /// A weave worker panicked on one page. The panic was absorbed by the

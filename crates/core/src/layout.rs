@@ -43,6 +43,13 @@ pub const TRANSFORM_PATH: &str = "transform.xml";
 /// the aspect language embedded in the web application as XML).
 pub const ASPECTS_PATH: &str = "aspects.xml";
 
+/// `true` for the paths of the specs the weave compiles — the linkbase,
+/// the transform and `aspects.xml` — rather than transforms into pages.
+/// Takes a path in its stored form (no leading `/`).
+pub fn is_spec_path(path: &str) -> bool {
+    [LINKBASE_PATH, TRANSFORM_PATH, ASPECTS_PATH].contains(&path)
+}
+
 /// The shared stylesheet — presentation, the concern XML/CSS already
 /// separated before the paper starts.
 pub const MUSEUM_CSS: &str = "\
@@ -67,6 +74,15 @@ mod tests {
         assert_eq!(slug_of_page("guitar.xml"), None);
         assert_eq!(data_to_page("guitar.xml").as_deref(), Some("guitar.html"));
         assert_eq!(data_to_page("style.css"), None);
+    }
+
+    #[test]
+    fn specs_are_not_data() {
+        for spec in [LINKBASE_PATH, TRANSFORM_PATH, ASPECTS_PATH] {
+            assert!(is_spec_path(spec), "{spec}");
+        }
+        assert!(!is_spec_path("guitar.xml"));
+        assert!(!is_spec_path(CSS_PATH));
     }
 
     #[test]

@@ -3,22 +3,29 @@
 //!
 //! [`crate::audit::audit_site`] inspects the *woven output*: to learn that
 //! a locator dangles, it first pays for the whole weave. The sources name
-//! the same facts directly: every linkbase locator must address a data
-//! document that exists, and every transform template ought to match some
-//! data document's root class. [`lint_sources`] checks both in one cheap
-//! pass, so [`crate::publish::SitePublisher::commit_audited`] can refuse a
-//! broken batch before weaving anything.
+//! the same facts directly: every locator an arc of the linkbase uses must
+//! resolve — its document exists and its pointer selects a node — and
+//! every transform template ought to match some data document's root
+//! class. [`lint_sources`] checks both before any page is transformed, so
+//! [`crate::publish::SitePublisher::commit_audited`] can refuse a broken
+//! batch before weaving anything.
 //!
-//! Findings split into **errors** (dangling locators — the weave is
-//! guaranteed to fail or to publish broken navigation) and **warnings**
-//! (unused templates — legal, often deliberate, e.g. the museum transform
-//! carries a `movement` template that single-family specs never
-//! exercise). Only errors gate a publish.
+//! The locator check is the weave's own: the same walk over the same
+//! expanded traversal list, which the lint runs to the end instead of
+//! stopping at the first failure. So the lint has an error exactly when
+//! the weave's locator check fails, and its first error names the href
+//! that check fails at. A locator no arc uses is not resolved by either.
+//!
+//! Findings split into **errors** (unresolvable locators — the weave is
+//! guaranteed to fail) and **warnings** (unused templates — legal, often
+//! deliberate, e.g. the museum transform carries a `movement` template
+//! that single-family specs never exercise). Only errors gate a publish.
 
-use crate::layout::{ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
+use crate::layout::{is_spec_path, slug_of_data, LINKBASE_PATH, TRANSFORM_PATH};
+use crate::pipeline::WeaveCache;
 use navsep_web::{Resource, Site};
-use navsep_xlink::Linkbase;
-use std::collections::BTreeSet;
+use navsep_xlink::{Endpoint, XLinkError};
+use std::collections::{BTreeSet, HashSet};
 use std::fmt;
 
 /// One problem (or oddity) found in the separated sources.
@@ -29,10 +36,19 @@ pub enum SourceLintFinding {
     /// contain — named **before** weave time, where the audit would only
     /// see the broken page it produces. An error.
     DanglingLocator {
-        /// The href as written in `links.xml`.
+        /// The locator's href, resolved against `links.xml`.
         href: String,
         /// The resolved source path that is missing.
         target: String,
+    },
+    /// A linkbase locator's pointer selects nothing in the document it
+    /// addresses (e.g. an XPointer on an `id` the document no longer
+    /// carries). An error.
+    UnresolvedPointer {
+        /// The locator's href, resolved against `links.xml`.
+        href: String,
+        /// Why the pointer selected nothing.
+        reason: String,
     },
     /// A transform template whose `match` pattern names a class no data
     /// document's root element carries — dead presentation, or a typo for
@@ -47,7 +63,10 @@ pub enum SourceLintFinding {
 impl SourceLintFinding {
     /// `true` for findings that gate a publish (see module docs).
     pub fn is_error(&self) -> bool {
-        matches!(self, SourceLintFinding::DanglingLocator { .. })
+        matches!(
+            self,
+            SourceLintFinding::DanglingLocator { .. } | SourceLintFinding::UnresolvedPointer { .. }
+        )
     }
 }
 
@@ -56,6 +75,9 @@ impl fmt::Display for SourceLintFinding {
         match self {
             SourceLintFinding::DanglingLocator { href, target } => {
                 write!(f, "dangling locator {href:?} (no source at {target:?})")
+            }
+            SourceLintFinding::UnresolvedPointer { href, reason } => {
+                write!(f, "locator {href:?} selects nothing: {reason}")
             }
             SourceLintFinding::UnusedTemplate { pattern } => {
                 write!(f, "template match={pattern:?} matches no data document")
@@ -69,7 +91,8 @@ impl fmt::Display for SourceLintFinding {
 pub struct SourceLintReport {
     /// All findings, errors first.
     pub findings: Vec<SourceLintFinding>,
-    /// Locators examined.
+    /// Locator endpoints resolved: two per traversal, as the weave's
+    /// locator check resolves them.
     pub locators_checked: usize,
     /// Templates examined.
     pub templates_checked: usize,
@@ -81,7 +104,7 @@ impl SourceLintReport {
         self.findings.is_empty()
     }
 
-    /// `true` when a gating finding (dangling locator) is present.
+    /// `true` when a gating finding (an unresolvable locator) is present.
     pub fn has_errors(&self) -> bool {
         self.findings.iter().any(SourceLintFinding::is_error)
     }
@@ -122,10 +145,7 @@ impl fmt::Display for SourceLintReport {
 fn data_root_classes(sources: &Site) -> BTreeSet<String> {
     sources
         .iter()
-        .filter(|(path, _)| {
-            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
-        })
-        .filter(|(path, _)| crate::layout::slug_of_data(path).is_some())
+        .filter(|(path, _)| !is_spec_path(path) && slug_of_data(path).is_some())
         .filter_map(|(_, res)| res.document())
         .filter_map(|doc| {
             doc.root_element()
@@ -136,34 +156,49 @@ fn data_root_classes(sources: &Site) -> BTreeSet<String> {
 
 /// Lints the separated sources **before** any weave:
 ///
-/// 1. every locator in `links.xml` resolves to an existing data document
-///    (errors);
+/// 1. every traversal endpoint in `links.xml` resolves: its document
+///    exists and its pointer selects a node (errors, one per failing
+///    href, in the order the weave's locator check meets them);
 /// 2. every `transform.xml` template matches at least one data document's
 ///    root class (warnings).
 ///
 /// A missing or malformed `links.xml`/`transform.xml` is *not* a lint
 /// finding — the pipeline reports those precisely on its own; the lint
-/// simply skips what it cannot parse.
+/// simply skips what it cannot parse or expand.
 pub fn lint_sources(sources: &Site) -> SourceLintReport {
+    lint_cached(sources, &WeaveCache::new())
+}
+
+/// [`lint_sources`], with the expanded linkbase fetched from (or compiled
+/// into) `cache`.
+pub(crate) fn lint_cached(sources: &Site, cache: &WeaveCache) -> SourceLintReport {
     let mut report = SourceLintReport::default();
 
     if let Some(doc) = sources.get(LINKBASE_PATH).and_then(Resource::document) {
-        if let Ok(linkbase) = Linkbase::from_document(doc, LINKBASE_PATH) {
-            for link in linkbase.extended_links() {
-                for locator in &link.locators {
-                    report.locators_checked += 1;
-                    let resolved = locator.href.resolve_against(LINKBASE_PATH);
-                    if resolved.is_same_document() {
-                        continue;
-                    }
-                    let target = resolved.document().trim_start_matches('/').to_string();
-                    if sources.get(&target).and_then(Resource::document).is_none() {
-                        report.findings.push(SourceLintFinding::DanglingLocator {
-                            href: locator.href.to_string(),
-                            target,
-                        });
-                    }
+        if let Ok(linkbase) = cache.linkbase(doc) {
+            let mut failed: HashSet<String> = HashSet::new();
+            for (endpoint, resolved) in linkbase.resolve_locators(sources, None) {
+                report.locators_checked += 1;
+                let (Endpoint::Remote(href), Err(error)) = (endpoint, resolved) else {
+                    continue;
+                };
+                let href = href.to_string();
+                if !failed.insert(href.clone()) {
+                    continue;
                 }
+                report.findings.push(match error {
+                    XLinkError::UnknownDocument(target) => {
+                        SourceLintFinding::DanglingLocator { href, target }
+                    }
+                    XLinkError::PointerFailed { reason, .. } => {
+                        SourceLintFinding::UnresolvedPointer { href, reason }
+                    }
+                    // Endpoint resolution fails in no other way.
+                    other => SourceLintFinding::UnresolvedPointer {
+                        href,
+                        reason: other.to_string(),
+                    },
+                });
             }
         }
     }
@@ -240,6 +275,16 @@ mod tests {
             "{error}"
         );
         assert!(report.to_string().contains("guitar.xml"));
+    }
+
+    #[test]
+    fn one_finding_per_failing_href() {
+        // Several traversals end at guitar.xml; the walk fails at each of
+        // them, the lint names the href once.
+        let mut sources = museum_sources(paper_spec(AccessStructureKind::Index));
+        sources.remove("guitar.xml");
+        let report = lint_sources(&sources);
+        assert_eq!(report.errors().count(), 1, "{report}");
     }
 
     #[test]

@@ -18,16 +18,17 @@
 use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::fragments::{index_list, nav_block, IndexItem, NavAnchor};
-use crate::layout::{data_to_page, ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
+use crate::layout::{data_to_page, is_spec_path, ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
 use navsep_aspect::{
     AdvicePosition, Aspect, AspectCache, CompiledWeaver, Pointcut, SpecCache, WeaveReport, Weaver,
 };
 use navsep_hypermodel::NavLinkKind;
 use navsep_style::Transform;
 use navsep_web::{Resource, Site};
-use navsep_xlink::{Endpoint, Linkbase, Resolver, Traversal};
+use navsep_xlink::{Endpoint, Linkbase, ResolvedEndpoint, Resolver, Traversal, XLinkError};
 use navsep_xml::{fnv1a64, ElementBuilder};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::convert::Infallible;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -101,14 +102,22 @@ pub struct WovenOutput {
 /// Rejects linkbases whose extended links lack a role, whose locators do not
 /// address data documents, or whose arcroles aren't navsep navigation roles.
 pub fn navigation_map(linkbase: &Linkbase) -> Result<BTreeMap<String, PageNav>, CoreError> {
+    expand(linkbase).map(|(map, _)| map)
+}
+
+/// Expands `linkbase` in one pass into its [`navigation_map`] and its
+/// traversal list: the traversals of [`Linkbase::traversals`], in the same
+/// order, with every endpoint resolved against the linkbase's path.
+fn expand(linkbase: &Linkbase) -> Result<(BTreeMap<String, PageNav>, Vec<Traversal>), CoreError> {
     let mut map: BTreeMap<String, PageNav> = BTreeMap::new();
+    let mut traversals = Vec::new();
     for link in linkbase.extended_links() {
         let context = link.role.clone().ok_or_else(|| {
             CoreError::Pipeline("extended link missing xlink:role (the context name)".to_string())
         })?;
-        for t in link.traversals().map_err(CoreError::XLink)? {
-            let from_page = endpoint_page(&t.from, linkbase)?;
-            let to_page = endpoint_page(&t.to, linkbase)?;
+        for mut t in link.traversals().map_err(CoreError::XLink)? {
+            let from_page = locator_page(&mut t.from, linkbase.path())?;
+            let to_page = locator_page(&mut t.to, linkbase.path())?;
             let kind = t
                 .arcrole
                 .as_deref()
@@ -119,7 +128,7 @@ pub fn navigation_map(linkbase: &Linkbase) -> Result<BTreeMap<String, PageNav>, 
                         t.arcrole
                     ))
                 })?;
-            let entry = map.entry(from_page.clone()).or_default();
+            let entry = map.entry(from_page).or_default();
             match kind {
                 NavLinkKind::IndexEntry => {
                     let label = t
@@ -141,21 +150,26 @@ pub fn navigation_map(linkbase: &Linkbase) -> Result<BTreeMap<String, PageNav>, 
                     });
                 }
             }
+            traversals.push(t);
         }
     }
-    Ok(map)
+    Ok((map, traversals))
 }
 
-fn endpoint_page(ep: &Endpoint, linkbase: &Linkbase) -> Result<String, CoreError> {
-    match ep {
+/// Resolves a locator endpoint against the linkbase path `base`, in place,
+/// and returns the path of the page its data document becomes.
+fn locator_page(endpoint: &mut Endpoint, base: &str) -> Result<String, CoreError> {
+    match endpoint {
         Endpoint::Remote(href) => {
-            let resolved = href.resolve_against(linkbase.path());
-            data_to_page(resolved.document()).ok_or_else(|| {
+            let resolved = href.resolve_against(base);
+            let page = data_to_page(resolved.document()).ok_or_else(|| {
                 CoreError::Pipeline(format!(
                     "locator href {:?} does not address a data document",
                     href.to_string()
                 ))
-            })
+            })?;
+            *href = resolved;
+            Ok(page)
         }
         Endpoint::Local(_) => Err(CoreError::Pipeline(
             "navsep linkbases use locators, not local resources".to_string(),
@@ -189,24 +203,25 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// and compilation entirely:
 ///
 /// * `transform.xml` → a compiled [`Transform`];
-/// * `links.xml` → the parsed [`Linkbase`] *and* the expanded per-page
-///   navigation map;
+/// * `links.xml` → the linkbase expanded once into the per-page navigation
+///   map and the traversal list, indexed by the documents its endpoints
+///   address. Every locator check walks that list: the full weave, which
+///   resolves all of it, and the incremental commits after it, which
+///   resolve only the traversals the index names for the edited documents;
 /// * `aspects.xml` → parsed [`Aspect`]s (via [`AspectCache`]);
 /// * the (linkbase, aspects) pair → the fully [`CompiledWeaver`], with
 ///   every rule pointcut pre-analyzed into its index candidate plan, so a
-///   steady-state reweave goes straight to candidate resolution;
-/// * `links.xml` → its expanded traversal list, indexed by the documents
-///   its endpoints address, which every cached weave's locator check
-///   walks: the full weave that first compiles a linkbase fills it, and
-///   the incremental commits after it re-check only the traversals the
-///   index names for the edited documents.
+///   steady-state reweave goes straight to candidate resolution.
+///
+/// An uncached [`Weave`] compiles through a cache of its own that lives
+/// for that weave only, so cached and uncached weaves run the same code.
 ///
 /// Locator resolution against the data set is deliberately **not** cached:
 /// it depends on the data documents, which may change between weaves even
 /// when the linkbase does not.
 ///
 /// [`hits`](Self::hits) and [`misses`](Self::misses) count lookups of
-/// every kind above, the traversal list included.
+/// every kind above.
 ///
 /// # Examples
 ///
@@ -227,17 +242,15 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// let first = cached.run(&sources)?;   // compiles specs
 /// let again = cached.run(&sources)?;   // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
-/// assert!(cache.hits() >= 3); // transform, linkbase, navigation map, …
+/// assert_eq!(cache.hits(), 3); // transform, linkbase, compiled weaver
 /// # Ok::<(), navsep_core::CoreError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct WeaveCache {
     transforms: SpecCache<Transform>,
-    linkbases: SpecCache<Linkbase>,
-    navigation: SpecCache<BTreeMap<String, PageNav>>,
+    linkbases: SpecCache<ExpandedLinkbase>,
     aspects: AspectCache,
     weavers: SpecCache<CompiledWeaver>,
-    traversals: SpecCache<TraversalIndex>,
 }
 
 impl WeaveCache {
@@ -248,22 +261,15 @@ impl WeaveCache {
 
     /// Total lookups that found a compiled spec.
     pub fn hits(&self) -> u64 {
-        self.transforms.hits()
-            + self.linkbases.hits()
-            + self.navigation.hits()
-            + self.aspects.hits()
-            + self.weavers.hits()
-            + self.traversals.hits()
+        self.transforms.hits() + self.linkbases.hits() + self.aspects.hits() + self.weavers.hits()
     }
 
     /// Total lookups that had to compile.
     pub fn misses(&self) -> u64 {
         self.transforms.misses()
             + self.linkbases.misses()
-            + self.navigation.misses()
             + self.aspects.misses()
             + self.weavers.misses()
-            + self.traversals.misses()
     }
 
     /// Total compiled specs currently held, across all kinds. The cache
@@ -271,44 +277,55 @@ impl WeaveCache {
     /// this (or [`clear`](Self::clear) when a spec changes, as
     /// [`crate::publish::SitePublisher`] does).
     pub fn entries(&self) -> usize {
-        self.transforms.len()
-            + self.linkbases.len()
-            + self.navigation.len()
-            + self.aspects.len()
-            + self.weavers.len()
-            + self.traversals.len()
+        self.transforms.len() + self.linkbases.len() + self.aspects.len() + self.weavers.len()
+    }
+
+    /// The expanded `links.xml` held for `links_doc`, parsed and expanded
+    /// on a miss.
+    pub(crate) fn linkbase(
+        &self,
+        links_doc: &navsep_xml::Document,
+    ) -> Result<Arc<ExpandedLinkbase>, CoreError> {
+        self.linkbases
+            .get_or_try_insert(links_doc.content_hash(), || {
+                ExpandedLinkbase::new(links_doc)
+            })
     }
 
     /// Drops all cached compilations (counters are kept).
     pub fn clear(&self) {
         self.transforms.clear();
         self.linkbases.clear();
-        self.navigation.clear();
         self.aspects.clear();
         self.weavers.clear();
-        self.traversals.clear();
     }
 }
 
-/// The compiled specs one weave runs with — either freshly compiled or
-/// pulled from a [`WeaveCache`].
-struct CompiledSpecs {
+/// The compiled specs one weave runs with, pulled from a [`WeaveCache`].
+struct CompiledSpecs<'c> {
+    cache: &'c WeaveCache,
     transform: Arc<Transform>,
-    nav_map: Arc<BTreeMap<String, PageNav>>,
+    linkbase: Arc<ExpandedLinkbase>,
     site_aspects: Arc<Vec<Aspect>>,
-    /// The compiled weaver for (navigation aspect + site aspects), fetched
-    /// from the cache when one was supplied.
-    weaver: Option<Arc<CompiledWeaver>>,
+    /// The cache key of the compiled weaver for (navigation aspect + site
+    /// aspects).
+    weaver_key: u64,
 }
 
-impl CompiledSpecs {
+impl CompiledSpecs<'_> {
     /// The compiled weaver for these specs plus `extra` aspects: the cached
-    /// one when there are no extras, a fresh compile otherwise.
+    /// one when there are no extras, a fresh compile otherwise. It is
+    /// fetched only here, so a weave with extras compiles one weaver.
     fn weaver_with(&self, extra: &[Aspect]) -> Arc<CompiledWeaver> {
-        match &self.weaver {
-            Some(weaver) if extra.is_empty() => Arc::clone(weaver),
-            _ => Arc::new(compile_weaver(&self.nav_map, &self.site_aspects, extra)),
+        let compile = || compile_weaver(&self.linkbase.nav_map, &self.site_aspects, extra);
+        if !extra.is_empty() {
+            return Arc::new(compile());
         }
+        let Ok(weaver) = self
+            .cache
+            .weavers
+            .get_or_try_insert(self.weaver_key, || Ok::<_, Infallible>(compile()));
+        weaver
     }
 }
 
@@ -326,15 +343,16 @@ fn compile_weaver(
     weaver.compile()
 }
 
-/// Compiles (or fetches) every spec in `sources`, then validates locator
-/// resolution against the current data set: every locator, or — given a
-/// cache and the `touched` source paths — only those a batch touching
-/// exactly those paths can have broken (see [`check_locators`]).
-fn compile_specs(
+/// Fetches (compiling on a miss) every spec in `sources` from `cache`, then
+/// validates locator resolution against the current data set: every
+/// locator, or — given the `touched` source paths — only those a batch
+/// touching exactly those paths can have broken (see
+/// [`ExpandedLinkbase::resolve_locators`]).
+fn compile_specs<'c>(
     sources: &Site,
-    cache: Option<&WeaveCache>,
+    cache: &'c WeaveCache,
     touched: Option<&BTreeSet<String>>,
-) -> Result<CompiledSpecs, CoreError> {
+) -> Result<CompiledSpecs<'c>, CoreError> {
     let transform_doc = sources
         .get(TRANSFORM_PATH)
         .and_then(Resource::document)
@@ -344,83 +362,51 @@ fn compile_specs(
         .and_then(Resource::document)
         .ok_or_else(|| CoreError::Pipeline(format!("missing {LINKBASE_PATH}")))?;
 
-    let (transform, linkbase, nav_map) = match cache {
-        Some(cache) => {
-            // `content_hash` is memoized on the documents themselves, so a
-            // steady-state reweave looks both keys up without serializing
-            // (let alone re-hashing) either spec.
-            let transform_key = transform_doc.content_hash();
-            let transform = cache.transforms.get_or_try_insert(transform_key, || {
-                Transform::from_document(transform_doc).map_err(CoreError::Template)
-            })?;
-            let links_key = links_doc.content_hash();
-            let linkbase = cache.linkbases.get_or_try_insert(links_key, || {
-                Linkbase::from_document(links_doc, LINKBASE_PATH).map_err(CoreError::XLink)
-            })?;
-            let nav_map = cache
-                .navigation
-                .get_or_try_insert(links_key, || navigation_map(&linkbase))?;
-            (transform, linkbase, nav_map)
-        }
-        None => {
-            let transform = Arc::new(Transform::from_document(transform_doc)?);
-            let linkbase = Arc::new(Linkbase::from_document(links_doc, LINKBASE_PATH)?);
-            let nav_map = Arc::new(navigation_map(&linkbase)?);
-            (transform, linkbase, nav_map)
-        }
-    };
+    // `content_hash` is memoized on the documents themselves, so a
+    // steady-state reweave looks both keys up without serializing (let
+    // alone re-hashing) either spec.
+    let transform = cache
+        .transforms
+        .get_or_try_insert(transform_doc.content_hash(), || {
+            Transform::from_document(transform_doc).map_err(CoreError::Template)
+        })?;
+    let linkbase = cache.linkbase(links_doc)?;
 
     // Validate locators against the *current* data set before weaving —
     // never cached; the data may have changed under a cached linkbase.
-    match cache {
-        Some(cache) => check_locators(sources, links_doc, &linkbase, cache, touched)?,
-        None => {
-            Resolver::new(sources, LINKBASE_PATH).resolve(&linkbase)?;
-        }
+    if let Some(error) = linkbase
+        .resolve_locators(sources, touched)
+        .find_map(|(_, resolved)| resolved.err())
+    {
+        return Err(error.into());
     }
 
     // Site-defined aspects (paper §7 future work): aspects.xml, if present,
     // contributes further concerns to the weave.
-    let site_aspects = match sources.get(ASPECTS_PATH).and_then(Resource::document) {
-        Some(doc) => match cache {
-            Some(cache) => cache
-                .aspects
-                .get_or_parse(doc)
-                .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
-            None => Arc::new(
-                navsep_aspect::parse_aspects(doc)
-                    .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
-            ),
-        },
+    let aspects_doc = sources.get(ASPECTS_PATH).and_then(Resource::document);
+    let site_aspects = match aspects_doc {
+        Some(doc) => cache
+            .aspects
+            .get_or_parse(doc)
+            .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
         None => Arc::new(Vec::new()),
     };
 
     // The compiled weaver is a function of the linkbase (navigation aspect)
     // and aspects.xml, so its cache key is derived from both content hashes
     // (with a marker distinguishing "no aspects.xml" from any hash value).
-    let weaver = match cache {
-        Some(cache) => {
-            let aspects_key = sources
-                .get(ASPECTS_PATH)
-                .and_then(Resource::document)
-                .map(navsep_xml::Document::content_hash);
-            let mut key_bytes = Vec::with_capacity(17);
-            key_bytes.extend_from_slice(&links_doc.content_hash().to_le_bytes());
-            key_bytes.extend_from_slice(&aspects_key.unwrap_or(0).to_le_bytes());
-            key_bytes.push(u8::from(aspects_key.is_some()));
-            let weaver = cache.weavers.get_or_try_insert(fnv1a64(&key_bytes), || {
-                Ok::<_, CoreError>(compile_weaver(&nav_map, &site_aspects, &[]))
-            })?;
-            Some(weaver)
-        }
-        None => None,
-    };
+    let aspects_key = aspects_doc.map(navsep_xml::Document::content_hash);
+    let mut key_bytes = Vec::with_capacity(17);
+    key_bytes.extend_from_slice(&links_doc.content_hash().to_le_bytes());
+    key_bytes.extend_from_slice(&aspects_key.unwrap_or(0).to_le_bytes());
+    key_bytes.push(u8::from(aspects_key.is_some()));
 
     Ok(CompiledSpecs {
+        cache,
         transform,
-        nav_map,
+        linkbase,
         site_aspects,
-        weaver,
+        weaver_key: fnv1a64(&key_bytes),
     })
 }
 
@@ -435,17 +421,24 @@ fn endpoint_document(endpoint: &Endpoint) -> Option<&str> {
     }
 }
 
-/// A linkbase's traversal list, plus the positions in it of the
-/// traversals with an endpoint in each document.
+/// A `links.xml` expanded once, as the [`WeaveCache`] holds it: the
+/// per-page navigation map the navigation aspect renders, and the
+/// traversal list every locator check walks, with the positions in it of
+/// the traversals that have an endpoint in each document.
 #[derive(Debug)]
-struct TraversalIndex {
+pub(crate) struct ExpandedLinkbase {
+    nav_map: Arc<BTreeMap<String, PageNav>>,
     traversals: Vec<Traversal>,
     /// Document path → ascending positions in `traversals`.
     by_document: HashMap<String, Vec<usize>>,
 }
 
-impl TraversalIndex {
-    fn new(traversals: Vec<Traversal>) -> Self {
+impl ExpandedLinkbase {
+    /// Parses `links_doc` as the linkbase at [`LINKBASE_PATH`] and expands
+    /// it (see [`navigation_map`]).
+    fn new(links_doc: &navsep_xml::Document) -> Result<Self, CoreError> {
+        let linkbase = Linkbase::from_document(links_doc, LINKBASE_PATH)?;
+        let (nav_map, traversals) = expand(&linkbase)?;
         let mut by_document: HashMap<String, Vec<usize>> = HashMap::new();
         for (i, t) in traversals.iter().enumerate() {
             for doc in [&t.from, &t.to].into_iter().filter_map(endpoint_document) {
@@ -455,67 +448,53 @@ impl TraversalIndex {
                 }
             }
         }
-        TraversalIndex {
+        Ok(ExpandedLinkbase {
+            nav_map: Arc::new(nav_map),
             traversals,
             by_document,
-        }
+        })
     }
 
-    /// The positions of the traversals with an endpoint in a `touched`
-    /// document, ascending.
-    fn touching(&self, touched: &BTreeSet<String>) -> Vec<usize> {
-        let mut positions: Vec<usize> = touched
-            .iter()
-            .filter_map(|doc| self.by_document.get(doc))
-            .flatten()
-            .copied()
-            .collect();
-        positions.sort_unstable();
-        positions.dedup();
-        positions
-    }
-}
-
-/// Resolves the linkbase's traversals against `sources`, in the
-/// linkbase's traversal order, `from` before `to` — the locator check of a
-/// cached weave. The traversal list comes from `cache`, expanded and
-/// indexed once per linkbase: the full weave under a new linkbase fills
-/// it, and every later commit under that linkbase walks the same list.
-///
-/// `touched: None` resolves every traversal, exactly the endpoints
-/// [`Resolver::resolve`] resolves, in the same order, so the first error is
-/// the same. `Some(touched)` resolves only the traversals with an endpoint
-/// in a touched document — the check of an incremental commit, whose
-/// positions the index names — under a precondition: this linkbase already
-/// passed the check against `sources` as they were before the `touched`
-/// paths were edited (a full check, or a touched check chained back to
-/// one). Every skipped endpoint was then resolved against the same document
-/// under the same linkbase, so the full check could fail only at a touched
-/// traversal, and walking those in list order meets the same first error.
-fn check_locators(
-    sources: &Site,
-    links_doc: &navsep_xml::Document,
-    linkbase: &Linkbase,
-    cache: &WeaveCache,
-    touched: Option<&BTreeSet<String>>,
-) -> Result<(), CoreError> {
-    let index = cache
-        .traversals
-        .get_or_try_insert(links_doc.content_hash(), || {
-            linkbase.traversals().map(TraversalIndex::new)
-        })?;
-    let resolver = Resolver::new(sources, LINKBASE_PATH);
-    let resolve = |t: &Traversal| -> Result<(), CoreError> {
-        resolver.resolve_endpoint(&t.from)?;
-        resolver.resolve_endpoint(&t.to)?;
-        Ok(())
-    };
-    match touched {
-        None => index.traversals.iter().try_for_each(resolve),
-        Some(touched) => index
-            .touching(touched)
-            .into_iter()
-            .try_for_each(|i| resolve(&index.traversals[i])),
+    /// Resolves the endpoints of this linkbase's traversals against
+    /// `sources`, in traversal order, `from` before `to`, yielding each
+    /// endpoint with its resolution — the one locator check. The weave
+    /// stops at the first failure; [`crate::lint::lint_sources`] collects
+    /// them all.
+    ///
+    /// `touched: None` resolves every traversal, exactly the endpoints
+    /// [`Resolver::resolve`] resolves, in the same order, so the first error
+    /// is the same. `Some(touched)` resolves only the traversals with an
+    /// endpoint in a touched document — the check of an incremental commit,
+    /// whose positions the index names — under a precondition: this
+    /// linkbase already passed the check against `sources` as they were
+    /// before the `touched` paths were edited (a full check, or a touched
+    /// check chained back to one). Every skipped endpoint was then resolved
+    /// against the same document under the same linkbase, so the full check
+    /// could fail only at a touched traversal, and walking those in list
+    /// order meets the same first error.
+    pub(crate) fn resolve_locators<'a>(
+        &'a self,
+        sources: &'a Site,
+        touched: Option<&BTreeSet<String>>,
+    ) -> impl Iterator<Item = (&'a Endpoint, Result<ResolvedEndpoint, XLinkError>)> + 'a {
+        let walked: Box<dyn Iterator<Item = &Traversal>> = match touched {
+            None => Box::new(self.traversals.iter()),
+            Some(touched) => {
+                let mut positions: Vec<usize> = touched
+                    .iter()
+                    .filter_map(|doc| self.by_document.get(doc))
+                    .flatten()
+                    .copied()
+                    .collect();
+                positions.sort_unstable();
+                positions.dedup();
+                Box::new(positions.into_iter().map(|i| &self.traversals[i]))
+            }
+        };
+        let resolver = Resolver::new(sources, LINKBASE_PATH);
+        walked
+            .flat_map(|t| [&t.from, &t.to])
+            .map(move |endpoint| (endpoint, resolver.resolve_endpoint(endpoint)))
     }
 }
 
@@ -585,8 +564,9 @@ pub struct Weave<'a> {
     /// (e.g. a banner or audit concern). A non-empty list compiles a fresh
     /// weaver; the cached one covers only the site's own aspect set.
     pub aspects: &'a [Aspect],
-    /// Where compiled specs (transform, linkbase, navigation map, aspects,
-    /// compiled weaver, traversal list) are fetched from and stored into.
+    /// Where compiled specs (transform, expanded linkbase, aspects,
+    /// compiled weaver) are fetched from and stored into; `None` compiles
+    /// them into a cache that is dropped with the weave.
     pub cache: Option<&'a WeaveCache>,
     /// Threads that transform and weave pages, the calling thread
     /// included.
@@ -619,11 +599,12 @@ impl Weave<'_> {
     /// and whatever the worker count: a page panic becomes
     /// [`CoreError::WorkerPanic`], an injected fault [`CoreError::Fault`].
     pub fn run(&self, sources: &Site) -> Result<WovenOutput, CoreError> {
-        let specs = compile_specs(sources, self.cache, None)?;
+        let own_cache = WeaveCache::new();
+        let specs = compile_specs(sources, self.cache.unwrap_or(&own_cache), None)?;
         let weaver = specs.weaver_with(self.aspects);
         let work = sources
             .iter()
-            .filter(|(path, _)| ![LINKBASE_PATH, TRANSFORM_PATH, ASPECTS_PATH].contains(path))
+            .filter(|(path, _)| !is_spec_path(path))
             .filter_map(|(path, res)| Some((data_to_page(path)?, res.document()?)))
             .collect();
         let mut site = Site::new();
@@ -650,7 +631,8 @@ impl Weave<'_> {
 ///
 /// Spec compilation behaves exactly as in a cached [`Weave`]. Locator
 /// validation covers only the traversals with an endpoint in a `touched`
-/// source path, under the precondition of [`check_locators`].
+/// source path, under the precondition of
+/// [`ExpandedLinkbase::resolve_locators`].
 ///
 /// # Errors
 ///
@@ -663,7 +645,7 @@ pub(crate) fn weave_pages_cached(
     touched: &BTreeSet<String>,
     site: &mut Site,
 ) -> Result<Vec<WeaveReport>, CoreError> {
-    let specs = compile_specs(sources, Some(cache), Some(touched))?;
+    let specs = compile_specs(sources, cache, Some(touched))?;
     let work = data_paths
         .iter()
         .map(|path| {
@@ -925,10 +907,10 @@ mod tests {
         let again = cached(&cache).run(&sources).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &first.site).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &again.site).unwrap();
-        // First cached run compiles (transform + linkbase + nav map +
-        // traversal list + compiled weaver), the second is pure hits.
-        assert_eq!(cache.misses(), 5);
-        assert_eq!(cache.hits(), 5);
+        // First cached run compiles (transform + expanded linkbase +
+        // compiled weaver), the second is pure hits.
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.hits(), 3);
     }
 
     #[test]
@@ -947,13 +929,13 @@ mod tests {
         let a = cached(&cache).run(&index).unwrap();
         let b = cached(&cache).run(&igt).unwrap();
         // Same transform (1 hit on the second weave); different linkbase
-        // (fresh linkbase + nav-map + traversal-list + weaver
-        // compilations, no poisoned reuse).
+        // (fresh expanded-linkbase + weaver compilations, no poisoned
+        // reuse).
         assert!(!crate::equiv::dom_equivalent(
             a.site.get("guitar.html").unwrap().document().unwrap(),
             b.site.get("guitar.html").unwrap().document().unwrap(),
         ));
-        assert_eq!(cache.misses(), 9);
+        assert_eq!(cache.misses(), 5);
         assert_eq!(cache.hits(), 1);
     }
 
@@ -1026,9 +1008,10 @@ mod tests {
 
     #[test]
     fn cached_locator_check_reports_the_uncached_first_error() {
-        // The cached weave walks the cached traversal list; the uncached one
-        // still runs `Resolver::resolve`. Both must stop at the same
-        // traversal with the same message, cold cache or warm.
+        // Every weave walks the expanded traversal list; `Resolver::resolve`
+        // is the oracle. The uncached weave and the cached one, cold cache
+        // or warm, must stop at the traversal the oracle stops at, with the
+        // same message.
         let dangling_pointer = |links: String| {
             links.replacen(
                 "xlink:href=\"guitar.xml\"",
@@ -1052,15 +1035,20 @@ mod tests {
             ("two errors", both),
         ];
         for (case, sources) in cases {
-            let uncached = weave_separated(&sources)
+            let links = sources.get(LINKBASE_PATH).unwrap().document().unwrap();
+            let oracle = Linkbase::from_document(links, LINKBASE_PATH)
+                .and_then(|linkbase| Resolver::new(&sources, LINKBASE_PATH).resolve(&linkbase))
                 .map(|_| ())
+                .map_err(CoreError::XLink)
                 .expect_err(case)
                 .to_string();
+            let uncached = weave_separated(&sources).map(|_| ()).expect_err(case);
+            assert_eq!(uncached.to_string(), oracle, "{case}, uncached");
             let cache = WeaveCache::new();
             let cold = cached(&cache).run(&sources).map(|_| ()).expect_err(case);
-            assert_eq!(cold.to_string(), uncached, "{case}, cold cache");
+            assert_eq!(cold.to_string(), oracle, "{case}, cold cache");
             let warm = cached(&cache).run(&sources).map(|_| ()).expect_err(case);
-            assert_eq!(warm.to_string(), uncached, "{case}, warm cache");
+            assert_eq!(warm.to_string(), oracle, "{case}, warm cache");
         }
     }
 
@@ -1119,7 +1107,7 @@ mod tests {
         publisher.commit().unwrap();
         let cache = publisher.cache();
         let (hits, misses) = (cache.hits(), cache.misses());
-        let traversal_hits = cache.traversals.hits();
+        let traversal_hits = cache.linkbases.hits();
         let guitar = publisher
             .sources()
             .get("guitar.xml")
@@ -1133,10 +1121,10 @@ mod tests {
         ));
         publisher.commit().unwrap();
         let cache = publisher.cache();
-        assert_eq!(cache.traversals.hits(), traversal_hits + 1);
+        assert_eq!(cache.linkbases.hits(), traversal_hits + 1);
         assert_eq!(cache.misses(), misses, "a data commit compiles nothing");
-        // Transform, linkbase, navigation map, traversal list, weaver.
-        assert_eq!(cache.hits(), hits + 5);
+        // Transform, expanded linkbase (the traversal index), weaver.
+        assert_eq!(cache.hits(), hits + 3);
     }
 
     #[test]
@@ -1298,8 +1286,8 @@ mod executor_tests {
         let first = weave.run(&sources).unwrap();
         let again = weave.run(&sources).unwrap();
         assert_eq!(first.site.len(), again.site.len());
-        assert_eq!(cache.misses(), 5);
-        assert_eq!(cache.hits(), 5);
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.hits(), 3);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::audit::audit_site;
 use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::layout::data_to_page;
-use crate::lint::lint_sources;
+use crate::lint::{lint_cached, lint_sources};
 use crate::pipeline::{panic_message, weave_pages_cached, Weave, WeaveCache, WovenOutput};
 use navsep_web::{ChangeSet, IncrementalPublish, Resource, ShardedSiteStore, Site};
 use navsep_xml::Document;
@@ -200,8 +200,7 @@ impl SourceEdit {
 
     /// `true` when the edit touches a spec the [`WeaveCache`] compiles.
     fn edits_spec(&self) -> bool {
-        use crate::layout::{ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
-        [LINKBASE_PATH, TRANSFORM_PATH, ASPECTS_PATH].contains(&self.path())
+        crate::layout::is_spec_path(self.path())
     }
 
     /// Applies the edit to `sources` in place and returns the resource it
@@ -420,17 +419,17 @@ impl SitePublisher {
     }
 
     /// Like [`commit`](Self::commit), but gated twice: a cheap **pre-weave
-    /// source lint** first (dangling locators named before any weave work
-    /// — see [`crate::lint`]), then the post-weave audit of the woven
+    /// source lint** first (unresolvable locators named before any weave
+    /// work — see [`crate::lint`]), then the post-weave audit of the woven
     /// output (`roots` are the audit's reachability entry points). Either
     /// gate failing publishes nothing.
     ///
     /// # Errors
     ///
     /// [`CoreError::SourceLint`] when the sources-after-edits carry
-    /// dangling locators; [`CoreError::Audit`] with the full report when
-    /// the woven audit is not clean (nothing published, batch stays
-    /// staged); otherwise as [`commit`](Self::commit).
+    /// locators the weave cannot resolve; [`CoreError::Audit`] with the
+    /// full report when the woven audit is not clean (nothing published,
+    /// batch stays staged); otherwise as [`commit`](Self::commit).
     pub fn commit_audited(&mut self, roots: &[&str]) -> Result<PublishOutcome, CoreError> {
         self.commit_inner(Some(roots))
     }
@@ -649,20 +648,23 @@ impl SitePublisher {
         spec_changed: bool,
         audit_roots: Option<&[&str]>,
     ) -> Result<(Woven, IncrementalPublish, u32), CoreError> {
-        // The pre-weave gate: dangling locators are named from the sources
-        // directly, before any transform or weave work is spent.
+        // A spec edit supersedes its cached compilation; drop the whole
+        // cache before the lint and the weave so a long-lived publisher
+        // holds only the live spec set, not every historical version. (On
+        // failure the cache re-primes on the next commit — a correctness
+        // no-op.)
+        if spec_changed {
+            self.cache.clear();
+        }
+        // The pre-weave gate: unresolvable locators are named from the
+        // sources directly, before any transform or weave work is spent.
+        // The lint expands the linkbase into the cache the weave then
+        // reads it from.
         if audit_roots.is_some() {
-            let report = lint_sources(&self.sources);
+            let report = lint_cached(&self.sources, &self.cache);
             if report.has_errors() {
                 return Err(CoreError::SourceLint(report));
             }
-        }
-        // A spec edit supersedes its cached compilation; drop the whole
-        // cache before the weave so a long-lived publisher holds only the
-        // live spec set, not every historical version. (On weave failure
-        // the cache re-primes on the next commit — a correctness no-op.)
-        if spec_changed {
-            self.cache.clear();
         }
         // The weave + store publish run inside the retry loop, with a
         // `catch_unwind` so an injected (or organic) panic becomes a
@@ -1005,6 +1007,72 @@ mod tests {
         assert_eq!(p.staged_len(), 1, "batch stays staged");
         // The publisher's pre-flight lint reports the same thing.
         assert!(p.lint().has_errors());
+    }
+
+    /// The publisher's linkbase with `edit` applied to its text.
+    fn links_with(p: &SitePublisher, edit: impl Fn(String) -> String) -> SourceEdit {
+        let links = p.sources().get(LINKBASE_PATH).unwrap().document().unwrap();
+        let text = links.to_xml_string();
+        let edited = edit(text.clone());
+        assert_ne!(edited, text, "the edit must change the linkbase");
+        SourceEdit::put_document(LINKBASE_PATH, Document::parse(&edited).unwrap())
+    }
+
+    #[test]
+    fn audited_commit_publishes_past_a_locator_no_arc_uses() {
+        // The weave never resolves a locator no arc uses, so neither does
+        // the lint: a dangling one does not gate the publish.
+        let (mut p, store) = publisher(AccessStructureKind::Index);
+        p.commit().unwrap();
+        p.stage(links_with(&p, |links| {
+            links.replacen(
+                "<loc ",
+                "<loc xlink:type=\"locator\" xlink:label=\"ghost\" xlink:href=\"ghost.xml\"/><loc ",
+                1,
+            )
+        }));
+        let lint = p.lint();
+        assert!(!lint.has_errors(), "{lint}");
+        p.commit_audited(&["picasso.html", "braque.html"]).unwrap();
+        assert_eq!(store.generation(), 2);
+    }
+
+    #[test]
+    fn audited_commit_lints_a_pointer_that_selects_nothing() {
+        use crate::fault::{sites, FaultKind, FaultRule};
+        use crate::lint::SourceLintFinding;
+
+        // Any weave attempt fires the armed fault: the lint must refuse the
+        // batch before one starts.
+        let plan = Arc::new(FaultPlan::new(0).rule(FaultRule::at(
+            sites::WEAVE_PAGE,
+            FaultKind::Error("weave attempted".into()),
+        )));
+        let (mut p, store) = publisher(AccessStructureKind::Index);
+        p.commit().unwrap();
+        p.set_faults(Some(Arc::clone(&plan)));
+        let pointer = "guitar.xml#xpointer(//painting[@id='nope'])";
+        p.stage(links_with(&p, |links| {
+            links.replacen(
+                "xlink:href=\"guitar.xml\"",
+                &format!("xlink:href=\"{pointer}\""),
+                1,
+            )
+        }));
+        match p.commit_audited(&["picasso.html", "braque.html"]) {
+            Err(CoreError::SourceLint(report)) => {
+                let error = report.errors().next().unwrap();
+                assert!(
+                    matches!(error, SourceLintFinding::UnresolvedPointer { href, .. }
+                        if href == pointer),
+                    "{report}"
+                );
+            }
+            other => panic!("expected source-lint rejection, got {other:?}"),
+        }
+        assert_eq!(plan.fired(), 0, "no weave was attempted");
+        assert_eq!(store.generation(), 1, "nothing published");
+        assert_eq!(p.staged_len(), 1, "batch stays staged");
     }
 
     #[test]

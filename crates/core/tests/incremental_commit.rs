@@ -20,18 +20,24 @@
 //! * otherwise the commit succeeds and the store serves a site
 //!   DOM-equivalent to the full weave, page for page.
 //!
+//! A second property walks the same edits through the source lint: it
+//! has an error exactly when the full weave's locator check fails, and
+//! its first error names what that check failed at (the lint ≡ check law).
+//!
 //! Plain tests below pin the sharing the incremental path relies on: the
 //! store's live epoch, the publisher's last woven site and the committed
 //! sources hold one `Arc` per unchanged resource between them.
 
 use navsep_core::layout::{CSS_PATH, LINKBASE_PATH};
+use navsep_core::lint::{lint_sources, SourceLintFinding};
 use navsep_core::museum::{generated_museum, museum_navigation};
 use navsep_core::publish::{SitePublisher, SourceEdit};
 use navsep_core::separated::separated_sources;
 use navsep_core::spec::paper_spec;
-use navsep_core::{assert_site_equivalent, weave_separated};
+use navsep_core::{assert_site_equivalent, weave_separated, CoreError};
 use navsep_hypermodel::AccessStructureKind;
 use navsep_web::{ShardedSiteStore, Site};
+use navsep_xlink::XLinkError;
 use navsep_xml::Document;
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -280,6 +286,55 @@ proptest! {
                     step,
                     full.map(|_| ()),
                     commit.map(|_| ())
+                ),
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The lint ≡ check law, over the same random edits applied one by
+    /// one: the source lint has an error exactly when the full weave fails
+    /// its locator check (`UnknownDocument` or `PointerFailed`), and its
+    /// first error names what that check failed at — the missing document,
+    /// or the href whose pointer selected nothing.
+    #[test]
+    fn lint_errors_exactly_when_the_locator_check_fails(script in script()) {
+        let fixture = fixture();
+        let mut model = fixture.sources.clone();
+        for (step, edit) in script.iter().flatten().enumerate() {
+            apply(&mut model, &edit.to_source_edit(&fixture));
+            let report = lint_sources(&model);
+            let first = report.errors().next();
+            match (weave_separated(&model), first) {
+                (
+                    Err(CoreError::XLink(XLinkError::UnknownDocument(document))),
+                    Some(SourceLintFinding::DanglingLocator { target, .. }),
+                ) => prop_assert_eq!(target, &document, "step {}", step),
+                (
+                    Err(CoreError::XLink(XLinkError::PointerFailed { href, .. })),
+                    Some(SourceLintFinding::UnresolvedPointer { href: linted, .. }),
+                ) => prop_assert_eq!(linted, &href, "step {}", step),
+                (Ok(_), None) => {}
+                (Err(error), None) => prop_assert!(
+                    !matches!(
+                        error,
+                        CoreError::XLink(
+                            XLinkError::UnknownDocument(_) | XLinkError::PointerFailed { .. }
+                        )
+                    ),
+                    "step {}: the locator check failed with {} but the lint is clean",
+                    step,
+                    error
+                ),
+                (weave, Some(first)) => prop_assert!(
+                    false,
+                    "step {}: the lint's first error is {} but the weave gave {:?}",
+                    step,
+                    first,
+                    weave.map(|_| ())
                 ),
             }
         }

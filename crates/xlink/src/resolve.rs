@@ -115,9 +115,7 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
     ///
     /// # Errors
     ///
-    /// Fails fast on the first unresolvable endpoint; use
-    /// [`resolve_lenient`](Resolver::resolve_lenient) to collect partial
-    /// results instead.
+    /// Fails fast on the first unresolvable endpoint.
     pub fn resolve(&self, linkbase: &Linkbase) -> Result<Vec<ResolvedTraversal>, XLinkError> {
         let mut out = Vec::new();
         for t in linkbase.traversals()? {
@@ -130,44 +128,6 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
             });
         }
         Ok(out)
-    }
-
-    /// Like [`resolve`](Resolver::resolve), but skips failing traversals,
-    /// returning them separately. Mirrors how a user agent keeps working
-    /// when one link in a page is broken.
-    ///
-    /// # Errors
-    ///
-    /// Only arc-expansion errors (malformed linkbase) abort; per-traversal
-    /// resolution failures are returned in the second vector.
-    pub fn resolve_lenient(
-        &self,
-        linkbase: &Linkbase,
-    ) -> Result<(Vec<ResolvedTraversal>, Vec<XLinkError>), XLinkError> {
-        let mut ok = Vec::new();
-        let mut failed = Vec::new();
-        for t in linkbase.traversals()? {
-            let from = match self.resolve_endpoint(&t.from) {
-                Ok(e) => e,
-                Err(e) => {
-                    failed.push(e);
-                    continue;
-                }
-            };
-            let to = match self.resolve_endpoint(&t.to) {
-                Ok(e) => e,
-                Err(e) => {
-                    failed.push(e);
-                    continue;
-                }
-            };
-            ok.push(ResolvedTraversal {
-                traversal: t,
-                from,
-                to,
-            });
-        }
-        Ok((ok, failed))
     }
 }
 
@@ -262,25 +222,6 @@ mod tests {
             resolver.resolve(&lb),
             Err(XLinkError::PointerFailed { .. })
         ));
-    }
-
-    #[test]
-    fn lenient_resolution_collects_failures() {
-        let docs = provider();
-        let doc = Document::parse(&format!(
-            r#"<links {XLINK} xlink:type="extended">
-  <l xlink:type="locator" xlink:label="good" xlink:href="picasso.xml"/>
-  <l xlink:type="locator" xlink:label="bad" xlink:href="ghost.xml"/>
-  <arc xlink:type="arc" xlink:from="good" xlink:to="good"/>
-  <arc xlink:type="arc" xlink:from="good" xlink:to="bad"/>
-</links>"#
-        ))
-        .unwrap();
-        let lb = Linkbase::from_document(&doc, "links.xml").unwrap();
-        let resolver = Resolver::new(&docs, "links.xml");
-        let (ok, failed) = resolver.resolve_lenient(&lb).unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(failed.len(), 1);
     }
 
     #[test]
