@@ -1,6 +1,6 @@
 //! T5: serving throughput — the sharded, epoch-published site store versus
-//! the single-`RwLock` baseline, under concurrent readers and under
-//! publish churn.
+//! a single-`RwLock` baseline, under concurrent readers and under publish
+//! churn.
 //!
 //! The ROADMAP's north star is heavy traffic with cheap reweaves. The
 //! numbers here substantiate the two design moves of `navsep-web`'s store:
@@ -12,17 +12,56 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use navsep_bench::Setup;
 use navsep_core::weave_separated;
 use navsep_hypermodel::AccessStructureKind;
-use navsep_web::{Handler, Request, ShardedSiteHandler, ShardedSiteStore, Site, SiteHandler};
+use navsep_web::{Handler, Request, Response, ShardedSiteHandler, ShardedSiteStore, Site};
 use navsep_xml::Document;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 const READERS: usize = 4;
 const GETS_PER_READER: usize = 256;
 
-fn woven_site(pages: usize) -> Site {
-    let setup = Setup::scaled(pages, AccessStructureKind::IndexedGuidedTour);
+/// The single-lock baseline: the whole site behind one `RwLock`. A GET
+/// (the benches issue nothing else) serializes its page under the read
+/// lock; a publish replaces the site under the write lock.
+struct SingleLock(RwLock<Site>);
+
+impl SingleLock {
+    fn new(site: Site) -> Self {
+        SingleLock(RwLock::new(site))
+    }
+
+    fn publish(&self, site: Site) {
+        *self.0.write().unwrap_or_else(PoisonError::into_inner) = site;
+    }
+}
+
+impl Handler for SingleLock {
+    fn handle(&self, request: &Request) -> Response {
+        let path = request.path().trim_start_matches('/');
+        match self
+            .0
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(path)
+        {
+            Some(res) => Response::ok(res.media_type().as_str(), res.to_bytes()),
+            None => Response::not_found(path),
+        }
+    }
+}
+
+fn woven_site(pages: usize, access: AccessStructureKind) -> Site {
+    let setup = Setup::scaled(pages, access);
     weave_separated(&setup.separated()).expect("pipeline").site
+}
+
+/// The site woven for `pages` paintings under both access structures: the
+/// two sides of a `links.xml` swap, which reweaves every painting page.
+fn swap_pair(pages: usize) -> [Site; 2] {
+    [
+        woven_site(pages, AccessStructureKind::IndexedGuidedTour),
+        woven_site(pages, AccessStructureKind::Index),
+    ]
 }
 
 fn page_paths(site: &Site) -> Vec<String> {
@@ -54,11 +93,11 @@ fn hammer<H: Handler>(handler: &H, paths: &[String]) -> usize {
 fn bench_concurrent_readers(c: &mut Criterion) {
     let mut group = c.benchmark_group("server_get_concurrent");
     for pages in [16usize, 64] {
-        let site = woven_site(pages);
+        let site = woven_site(pages, AccessStructureKind::IndexedGuidedTour);
         let paths = page_paths(&site);
         group.throughput(Throughput::Elements((READERS * GETS_PER_READER) as u64));
 
-        let single = SiteHandler::new(site.clone());
+        let single = SingleLock::new(site.clone());
         group.bench_with_input(
             BenchmarkId::new("single_lock", pages),
             &paths,
@@ -88,17 +127,18 @@ const PUBLISHES: usize = 8;
 const CHURN_ROUNDS: usize = 8;
 
 fn bench_readers_under_publish_churn(c: &mut Criterion) {
-    // Same read workload, but a writer concurrently republishes the site
-    // PUBLISHES times; epoch swaps keep readers off the write path where
-    // the single lock stalls every reader for each whole-site replacement.
+    // Same read workload, but a writer concurrently republishes PUBLISHES
+    // times, alternating the two sides of a `links.xml` swap; epoch swaps
+    // keep readers off the write path where the single lock stalls every
+    // reader for each whole-site replacement.
     let mut group = c.benchmark_group("server_get_during_publish");
-    let site = woven_site(32);
-    let paths = page_paths(&site);
+    let sites = swap_pair(32);
+    let paths = page_paths(&sites[0]);
     group.throughput(Throughput::Elements(
         (CHURN_ROUNDS * READERS * GETS_PER_READER) as u64,
     ));
 
-    let single = Arc::new(SiteHandler::new(site.clone()));
+    let single = Arc::new(SingleLock::new(sites[0].clone()));
     group.bench_with_input(
         BenchmarkId::new("single_lock", 32usize),
         &paths,
@@ -106,11 +146,10 @@ fn bench_readers_under_publish_churn(c: &mut Criterion) {
             b.iter(|| {
                 std::thread::scope(|scope| {
                     {
-                        let single = Arc::clone(&single);
-                        let site = site.clone();
+                        let (single, sites) = (Arc::clone(&single), &sites);
                         scope.spawn(move || {
-                            for _ in 0..PUBLISHES {
-                                single.publish(site.clone());
+                            for i in 0..PUBLISHES {
+                                single.publish(sites[i % 2].clone());
                             }
                         });
                     }
@@ -122,17 +161,16 @@ fn bench_readers_under_publish_churn(c: &mut Criterion) {
         },
     );
 
-    let store = Arc::new(ShardedSiteStore::from_site(16, &site));
+    let store = Arc::new(ShardedSiteStore::from_site(16, &sites[0]));
     let sharded = ShardedSiteHandler::new(Arc::clone(&store));
     group.bench_with_input(BenchmarkId::new("sharded", 32usize), &paths, |b, paths| {
         b.iter(|| {
             std::thread::scope(|scope| {
                 {
-                    let store = Arc::clone(&store);
-                    let site = site.clone();
+                    let (store, sites) = (Arc::clone(&store), &sites);
                     scope.spawn(move || {
-                        for _ in 0..PUBLISHES {
-                            store.publish(&site);
+                        for i in 0..PUBLISHES {
+                            store.publish_incremental(&sites[i % 2]);
                         }
                     });
                 }
@@ -146,21 +184,35 @@ fn bench_readers_under_publish_churn(c: &mut Criterion) {
 }
 
 fn bench_publish_cost(c: &mut Criterion) {
-    // The publish itself: single-lock copies under the write lock; the
-    // sharded store builds epochs off-lock and swaps pointers.
+    // The publish itself, alternating the two sides of a `links.xml` swap:
+    // single-lock copies the site under the write lock; the sharded store
+    // renders the changed pages into epochs off the readers' locks and
+    // swaps pointers.
     let mut group = c.benchmark_group("publish");
     for pages in [16usize, 64] {
-        let site = woven_site(pages);
-        group.throughput(Throughput::Elements(site.len() as u64));
+        let sites = swap_pair(pages);
+        group.throughput(Throughput::Elements(sites[0].len() as u64));
 
-        let single = SiteHandler::new(site.clone());
-        group.bench_with_input(BenchmarkId::new("single_lock", pages), &site, |b, site| {
-            b.iter(|| single.publish(site.clone()))
-        });
+        let single = SingleLock::new(sites[0].clone());
+        let mut flip = false;
+        group.bench_with_input(
+            BenchmarkId::new("single_lock", pages),
+            &sites,
+            |b, sites| {
+                b.iter(|| {
+                    flip = !flip;
+                    single.publish(sites[usize::from(flip)].clone())
+                })
+            },
+        );
 
-        let store = ShardedSiteStore::from_site(16, &site);
-        group.bench_with_input(BenchmarkId::new("sharded", pages), &site, |b, site| {
-            b.iter(|| store.publish(site))
+        let store = ShardedSiteStore::from_site(16, &sites[0]);
+        let mut flip = false;
+        group.bench_with_input(BenchmarkId::new("sharded", pages), &sites, |b, sites| {
+            b.iter(|| {
+                flip = !flip;
+                store.publish_incremental(&sites[usize::from(flip)])
+            })
         });
     }
     group.finish();
@@ -191,10 +243,16 @@ fn one_page_edit_pair() -> (Site, Site) {
     (site_a, site_b)
 }
 
+/// The full side of the `incremental_publish` group: the whole site
+/// rendered afresh, every page into a new store's shards.
+fn render_whole_site(site: &Site) -> ShardedSiteStore {
+    ShardedSiteStore::from_site(16, site)
+}
+
 fn bench_incremental_publish(c: &mut Criterion) {
     // The acceptance scenario for incremental epoch publishing: a 1-page
-    // edit on the museum site. `full` re-renders every page into fresh
-    // shards; `incremental` diffs against the previous epoch, re-renders
+    // edit on the museum site. `full` renders every page into a fresh
+    // store; `incremental` diffs against the previous epoch, re-renders
     // the one changed page, and reuses the rest verbatim — O(K), not
     // O(site). Each iteration alternates the two variants so every
     // publish really is a 1-page edit over the live epoch.
@@ -202,12 +260,11 @@ fn bench_incremental_publish(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_publish");
     group.throughput(Throughput::Elements(1));
 
-    let full_store = ShardedSiteStore::from_site(16, &site_a);
     let mut flip = false;
     group.bench_function(BenchmarkId::new("full", "1-page-edit"), |b| {
         b.iter(|| {
             flip = !flip;
-            full_store.publish(if flip { &site_b } else { &site_a })
+            render_whole_site(if flip { &site_b } else { &site_a })
         })
     });
 
@@ -227,7 +284,7 @@ fn bench_incremental_publish(c: &mut Criterion) {
     let mut flip = false;
     for _ in 0..ROUNDS {
         flip = !flip;
-        full_store.publish(if flip { &site_b } else { &site_a });
+        render_whole_site(if flip { &site_b } else { &site_a });
     }
     let full = full.elapsed();
     let incremental = Instant::now();

@@ -13,8 +13,14 @@ use navsep_core::museum::{museum_navigation, paper_museum};
 use navsep_core::spec::contextual_spec;
 use navsep_core::{separated_sources, Weave, WeaveCache};
 use navsep_hypermodel::AccessStructureKind;
-use navsep_web::{NavigationSession, Site, SiteHandler};
+use navsep_web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore, Site};
 use navsep_xml::Document;
+use std::sync::Arc;
+
+/// `site` served from a one-shard store.
+fn serve(site: &Site) -> ShardedSiteHandler {
+    ShardedSiteHandler::new(Arc::new(ShardedSiteStore::from_site(1, site)))
+}
 
 fn main() {
     let store = paper_museum();
@@ -38,7 +44,7 @@ fn main() {
         ("picasso.html", "via the author"),
         ("cubism.html", "via the movement"),
     ] {
-        let mut session = NavigationSession::new(SiteHandler::new(woven.site.clone()));
+        let mut session = NavigationSession::new(serve(&woven.site));
         session.visit(entry).expect("entry page");
         session.follow("Guitar").expect("index entry to Guitar");
         let context = session.current_context().unwrap_or("-").to_string();
@@ -88,7 +94,7 @@ fn main() {
         )
         .expect("page"),
     );
-    let mut session = NavigationSession::new(SiteHandler::new(site));
+    let mut session = NavigationSession::new(serve(&site));
     session.visit("results-1.html").expect("visit");
     let before = session.current_context().map(str::to_string);
     session.follow("More results").expect("scroll");

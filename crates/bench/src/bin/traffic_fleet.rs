@@ -716,7 +716,7 @@ fn main() {
     // The served store: a warm history of generations over a bounded ring.
     let store = Arc::new(ShardedSiteStore::with_retention(16, RETENTION));
     for revision in 1..=WARM_GENERATIONS {
-        store.publish(&corpus(revision));
+        store.publish_incremental(&corpus(revision));
     }
     let handler = Arc::new(ShardedSiteHandler::new(Arc::clone(&store)));
     let pool = ServerPool::start_with(

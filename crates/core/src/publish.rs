@@ -437,12 +437,21 @@ impl SitePublisher {
     /// Lints the sources **as the staged batch would leave them**, without
     /// weaving or publishing anything — the cheap pre-flight
     /// [`commit_audited`](Self::commit_audited) runs before its weave.
+    ///
+    /// A batch that leaves the specs alone lints through the publisher's
+    /// cache, which already holds the expanded linkbase; one that edits a
+    /// spec lints through a throwaway cache, so the publisher's cache
+    /// never holds a spec no commit has published.
     pub fn lint(&self) -> crate::lint::SourceLintReport {
         let mut next = self.sources.clone();
         for edit in &self.staged {
             edit.clone().apply(&mut next);
         }
-        lint_sources(&next)
+        if self.staged.iter().any(SourceEdit::edits_spec) {
+            lint_sources(&next)
+        } else {
+            lint_cached(&next, &self.cache)
+        }
     }
 
     /// Reweaves only what the applied batch `staged` touched: the pages of
@@ -1007,6 +1016,44 @@ mod tests {
         assert_eq!(p.staged_len(), 1, "batch stays staged");
         // The publisher's pre-flight lint reports the same thing.
         assert!(p.lint().has_errors());
+    }
+
+    #[test]
+    fn lint_reads_the_linkbase_from_the_cache_unless_a_spec_is_staged() {
+        let (mut p, _store) = publisher(AccessStructureKind::IndexedGuidedTour);
+        p.commit().unwrap();
+        // A data-only batch with a dangling locator: the lint finds it
+        // through the cached linkbase, compiling nothing.
+        p.stage(SourceEdit::remove("guitar.xml"))
+            .stage(SourceEdit::put_raw("museum.css", "h1 { color: teal }"));
+        let (hits, misses) = (p.cache().hits(), p.cache().misses());
+        let lint = p.lint();
+        assert!(p.cache().hits() > hits, "the linkbase came from the cache");
+        assert_eq!(p.cache().misses(), misses, "nothing was compiled");
+        let mut applied = p.sources().clone();
+        for edit in p.staged() {
+            edit.clone().apply(&mut applied);
+        }
+        let throwaway = lint_sources(&applied);
+        assert!(lint.has_errors());
+        assert_eq!(lint.findings, throwaway.findings);
+        assert_eq!(lint.locators_checked, throwaway.locators_checked);
+        assert_eq!(lint.templates_checked, throwaway.templates_checked);
+
+        // A staged linkbase edit leaves the publisher's cache alone.
+        p.stage(links_with(&p, |links| {
+            links.replacen(
+                "<loc ",
+                "<loc xlink:type=\"locator\" xlink:label=\"ghost\" xlink:href=\"ghost.xml\"/><loc ",
+                1,
+            )
+        }));
+        let (hits, misses, entries) = (p.cache().hits(), p.cache().misses(), p.cache().entries());
+        p.lint();
+        assert_eq!(
+            (p.cache().hits(), p.cache().misses(), p.cache().entries()),
+            (hits, misses, entries)
+        );
     }
 
     /// The publisher's linkbase with `edit` applied to its text.

@@ -373,10 +373,11 @@ pub fn anchors_under(doc: &Document, node: NodeId) -> Vec<(String, String)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SiteHandler;
     use crate::site::Site;
+    use crate::store::ShardedSiteHandler;
+    use crate::testing::{serve, Unstamped};
 
-    fn handler() -> SiteHandler {
+    fn handler() -> ShardedSiteHandler {
         let mut site = Site::new();
         site.put_page(
             "guitar.html",
@@ -398,7 +399,7 @@ mod tests {
             )
             .unwrap(),
         );
-        SiteHandler::new(site)
+        serve(&site)
     }
 
     #[test]
@@ -430,7 +431,7 @@ mod tests {
 
     #[test]
     fn conditional_fetch_reports_staleness() {
-        use crate::store::{ShardedSiteHandler, ShardedSiteStore};
+        use crate::store::ShardedSiteStore;
         use std::sync::Arc;
 
         let mut site = Site::new();
@@ -443,12 +444,16 @@ mod tests {
             agent.fetch_conditional("a.html", 1).unwrap().stale,
             Some(false)
         );
-        store.publish(&site);
+        site.put_page(
+            "a.html",
+            Document::parse("<html><body>edited</body></html>").unwrap(),
+        );
+        store.publish_incremental(&site);
         let page = agent.fetch_conditional("a.html", 1).unwrap();
         assert_eq!(page.stale, Some(true));
         assert_eq!(page.generation, Some(2));
-        // The single-lock handler doesn't participate in the check.
-        let plain = UserAgent::new(handler());
+        // A handler without generations doesn't participate in the check.
+        let plain = UserAgent::new(Unstamped(handler()));
         assert_eq!(
             plain.fetch_conditional("guitar.html", 1).unwrap().stale,
             None
@@ -457,7 +462,7 @@ mod tests {
 
     #[test]
     fn fetch_at_serves_snapshots_and_reports_degradation() {
-        use crate::store::{ShardedSiteHandler, ShardedSiteStore};
+        use crate::store::ShardedSiteStore;
         use std::sync::Arc;
 
         let mut site = Site::new();
@@ -466,7 +471,7 @@ mod tests {
             Document::parse("<html><body>v1</body></html>").unwrap(),
         );
         let store = Arc::new(ShardedSiteStore::with_retention(2, 2));
-        store.publish(&site);
+        store.publish_incremental(&site);
         site.put_page(
             "a.html",
             Document::parse("<html><body>v2</body></html>").unwrap(),
@@ -507,7 +512,7 @@ mod tests {
     fn malformed_body_is_parse_error() {
         let mut site = Site::new();
         site.put_text("broken.html", "<html><body></html>");
-        let agent = UserAgent::new(SiteHandler::new(site));
+        let agent = UserAgent::new(serve(&site));
         assert!(matches!(
             agent.fetch("broken.html"),
             Err(AgentError::Parse(_))
@@ -540,8 +545,8 @@ mod tests {
 #[cfg(test)]
 mod activation_tests {
     use super::*;
-    use crate::server::SiteHandler;
     use crate::site::Site;
+    use crate::testing::serve;
 
     const XL: &str = "xmlns:xlink=\"http://www.w3.org/1999/xlink\"";
 
@@ -591,7 +596,7 @@ mod activation_tests {
 
     #[test]
     fn embeds_fetched_and_failures_reported() {
-        let agent = UserAgent::new(SiteHandler::new(embed_site()));
+        let agent = UserAgent::new(serve(&embed_site()));
         let activated = agent.fetch_activated("main.html").unwrap();
         assert_eq!(activated.embedded.len(), 1);
         let (path, doc) = &activated.embedded[0];
@@ -605,7 +610,7 @@ mod activation_tests {
 
     #[test]
     fn onload_replace_redirects() {
-        let agent = UserAgent::new(SiteHandler::new(embed_site()));
+        let agent = UserAgent::new(serve(&embed_site()));
         let activated = agent.fetch_activated("redirecting.html").unwrap();
         assert_eq!(activated.page.path, "main.html");
         assert_eq!(activated.redirects, vec!["main.html".to_string()]);
@@ -615,7 +620,7 @@ mod activation_tests {
 
     #[test]
     fn redirect_cycles_terminate() {
-        let agent = UserAgent::new(SiteHandler::new(embed_site()));
+        let agent = UserAgent::new(serve(&embed_site()));
         let activated = agent.fetch_activated("loop-a.html").unwrap();
         // Bounded: at most 4 hops, then the agent settles on whatever page
         // it reached.

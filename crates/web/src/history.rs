@@ -68,7 +68,7 @@ pub enum Freshness {
         /// The store's generation at classification time.
         current: u64,
     },
-    /// The serving handler exposes no generation (single-lock store).
+    /// The serving handler stamps no generation.
     Unknown,
 }
 

@@ -13,14 +13,13 @@
 //!   event-loop listener with keep-alive, pipelining, accept-time
 //!   connection-cap shedding, idle reaping, and graceful drain,
 //!   equivalence-tested byte-for-byte against the in-process handlers;
-//! * [`SiteHandler`]/[`ServerPool`] — a concurrent worker-pool server with
-//!   atomic re-publish (for re-weaving under load);
-//! * [`ShardedSiteStore`]/[`ShardedSiteHandler`] — the scale path: pages
+//! * [`ServerPool`] — a concurrent worker-pool server over any
+//!   [`Handler`];
+//! * [`ShardedSiteStore`]/[`ShardedSiteHandler`] — the served site: pages
 //!   partitioned across per-shard locks, publishes swapped in as immutable
-//!   generation-stamped epochs so readers never block on a weave, an
-//!   incremental publish path that reuses unchanged pages across
-//!   generations, and a bounded ring of retained epochs serving
-//!   time-travel reads (`x-navsep-at-generation`);
+//!   generation-stamped epochs so readers never block on a weave, every
+//!   publish reusing the pages it did not change, and a bounded ring of
+//!   retained epochs serving time-travel reads (`x-navsep-at-generation`);
 //! * [`UserAgent`] — the XLink-aware browser: HTML anchors *and* XLink
 //!   simple links, `actuate="onLoad"` auto-traversals;
 //! * [`NavigationSession`] — history plus the **current navigational
@@ -32,8 +31,9 @@
 //! ## Quick start
 //!
 //! ```
-//! use navsep_web::{NavigationSession, Site, SiteHandler};
+//! use navsep_web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore, Site};
 //! use navsep_xml::Document;
+//! use std::sync::Arc;
 //!
 //! let mut site = Site::new();
 //! site.put_page("index.html", Document::parse(
@@ -41,10 +41,12 @@
 //! site.put_page("guitar.html", Document::parse(
 //!     r#"<html><body><h1>Guitar</h1></body></html>"#)?);
 //!
-//! let mut session = NavigationSession::new(SiteHandler::new(site));
+//! let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+//! let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
 //! session.visit("index.html")?;
 //! session.follow("Guitar")?;
 //! assert_eq!(session.current_path(), Some("guitar.html"));
+//! assert_eq!(session.current_generation(), Some(1));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -76,7 +78,7 @@ pub use history::{
 };
 pub use http::{Method, Request, Response, Status};
 pub use listener::{HttpListener, ListenerConfig, ListenerStats};
-pub use server::{Handler, PoolConfig, ServerPool, SiteHandler, RETRY_AFTER_HEADER, SHED_HEADER};
+pub use server::{Handler, PoolConfig, ServerPool, RETRY_AFTER_HEADER, SHED_HEADER};
 pub use session::{NavigationSession, SessionError, Visit};
 pub use site::{MediaType, Resource, Site};
 pub use store::{
@@ -94,7 +96,6 @@ mod tests {
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Site>();
-        assert_send_sync::<SiteHandler>();
         assert_send_sync::<ShardedSiteStore>();
         assert_send_sync::<ShardedSiteHandler>();
         assert_send_sync::<Request>();
@@ -106,5 +107,34 @@ mod tests {
         assert_send_sync::<RouteGuard>();
         assert_send_sync::<FaultPlan>();
         assert_send_sync::<ServerPool>();
+    }
+}
+
+/// Helpers shared by the unit-test modules.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::{Handler, Request, Response, ShardedSiteHandler, ShardedSiteStore, Site};
+    use std::sync::Arc;
+
+    /// `site` served from a one-shard store, as generation 1.
+    pub(crate) fn serve(site: &Site) -> ShardedSiteHandler {
+        ShardedSiteHandler::new(Arc::new(ShardedSiteStore::from_site(1, site)))
+    }
+
+    /// A handler that stamps no generation: it answers what the wrapped
+    /// handler answers, minus every header but the content type on a
+    /// success (so a HEAD advertises no length).
+    pub(crate) struct Unstamped(pub(crate) ShardedSiteHandler);
+
+    impl Handler for Unstamped {
+        fn handle(&self, request: &Request) -> Response {
+            let stamped = self.0.handle(request);
+            match stamped.content_type() {
+                Some(media_type) if stamped.status().is_success() => {
+                    Response::ok(media_type, stamped.body().clone())
+                }
+                _ => stamped,
+            }
+        }
     }
 }

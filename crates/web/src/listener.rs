@@ -283,8 +283,8 @@ impl Drop for HttpListener {
 mod tests {
     use super::*;
     use crate::http::{Request, Response};
-    use crate::server::SiteHandler;
     use crate::site::Site;
+    use crate::testing::serve;
     use crate::wire::read_response;
     use navsep_xml::Document;
     use std::io::{BufReader, Read, Write};
@@ -301,7 +301,7 @@ mod tests {
     fn listener() -> HttpListener {
         HttpListener::bind(
             "127.0.0.1:0",
-            Arc::new(SiteHandler::new(site())),
+            Arc::new(serve(&site())),
             ListenerConfig::new(2),
         )
         .expect("bind ephemeral port")
@@ -385,7 +385,7 @@ mod tests {
 
     #[test]
     fn head_advertises_length_without_body() {
-        let handler = Arc::new(SiteHandler::new(site()));
+        let handler = Arc::new(serve(&site()));
         let listener =
             HttpListener::bind("127.0.0.1:0", Arc::clone(&handler), ListenerConfig::new(2))
                 .unwrap();
@@ -403,7 +403,7 @@ mod tests {
 
     #[test]
     fn wire_bytes_match_the_in_process_handler() {
-        let handler = Arc::new(SiteHandler::new(site()));
+        let handler = Arc::new(serve(&site()));
         let listener =
             HttpListener::bind("127.0.0.1:0", Arc::clone(&handler), ListenerConfig::new(2))
                 .unwrap();
@@ -467,7 +467,7 @@ mod tests {
     fn idle_keep_alive_connections_are_reaped_but_busy_ones_are_not() {
         let listener = HttpListener::bind(
             "127.0.0.1:0",
-            Arc::new(SiteHandler::new(site())),
+            Arc::new(serve(&site())),
             ListenerConfig::new(2).keep_alive_timeout(Duration::from_millis(150)),
         )
         .unwrap();
@@ -514,7 +514,7 @@ mod tests {
     fn accept_cap_sheds_instead_of_queueing() {
         let listener = HttpListener::bind(
             "127.0.0.1:0",
-            Arc::new(SiteHandler::new(site())),
+            Arc::new(serve(&site())),
             ListenerConfig::new(2).max_connections(2),
         )
         .unwrap();

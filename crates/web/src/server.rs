@@ -1,11 +1,12 @@
-//! Serving a site: handler trait, site handler, and a concurrent worker pool.
+//! Serving a site: the handler trait and a concurrent worker pool.
 //!
 //! The pool exists to make the substrate honest as a *web* tier: requests
-//! are served concurrently from worker threads over a shared, read-locked
-//! site, the way a 2002-era document server would. Workers take requests
-//! off one bounded job queue and answer each through its reply callback;
-//! a `std::sync::RwLock` guards the site so publishes (re-weaves) can swap
-//! content while reads continue.
+//! are served concurrently from worker threads through one shared
+//! [`Handler`], the way a 2002-era document server would. Workers take
+//! requests off one bounded job queue and answer each through its reply
+//! callback. The site handler is
+//! [`ShardedSiteHandler`](crate::ShardedSiteHandler), whose store swaps in
+//! publishes (re-weaves) as epochs while reads continue.
 //!
 //! ## Overload and failure contract
 //!
@@ -26,14 +27,13 @@
 //!   queued-but-unstarted ones are shed with a 503, and every accepted
 //!   request is answered before shutdown returns.
 
-use crate::http::{Method, Request, Response};
-use crate::site::Site;
-use crate::sync::{lock, read, write};
+use crate::http::{Request, Response};
+use crate::sync::lock;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,64 +55,6 @@ pub trait Handler: Send + Sync {
 impl<H: Handler + ?Sized> Handler for Arc<H> {
     fn handle(&self, request: &Request) -> Response {
         (**self).handle(request)
-    }
-}
-
-/// Serves a [`Site`] read-locked behind one `RwLock`, whose poison (a
-/// panic under the lock) later reads and publishes ignore.
-#[derive(Debug, Default)]
-pub struct SiteHandler {
-    site: RwLock<Site>,
-    served: AtomicU64,
-}
-
-impl SiteHandler {
-    /// Creates a handler serving `site`.
-    pub fn new(site: Site) -> Self {
-        SiteHandler {
-            site: RwLock::new(site),
-            served: AtomicU64::new(0),
-        }
-    }
-
-    /// Atomically replaces the served site (e.g. after re-weaving).
-    pub fn publish(&self, site: Site) {
-        *write(&self.site) = site;
-    }
-
-    /// Runs `f` with read access to the current site.
-    pub fn with_site<R>(&self, f: impl FnOnce(&Site) -> R) -> R {
-        f(&read(&self.site))
-    }
-
-    /// Total requests handled since construction.
-    pub fn requests_served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-}
-
-impl Handler for SiteHandler {
-    fn handle(&self, request: &Request) -> Response {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        if !request.method().is_supported() {
-            return Response::method_not_allowed();
-        }
-        // Normalize at the handler boundary: wire requests arrive as
-        // `/a.xml`, in-process callers and site keys use `a.xml`. Every
-        // downstream use (lookup AND the 404 body) sees the bare key, so
-        // the two spellings produce byte-identical responses.
-        let path = request.path().trim_start_matches('/');
-        let site = read(&self.site);
-        match site.get(path) {
-            Some(res) => {
-                let response = Response::ok(res.media_type().as_str(), res.to_bytes());
-                match request.method() {
-                    Method::Head => response.without_body(),
-                    _ => response,
-                }
-            }
-            None => Response::not_found(path),
-        }
     }
 }
 
@@ -324,13 +266,14 @@ fn spawn_worker(shared: &Arc<PoolShared>) {
 /// # Examples
 ///
 /// ```
-/// use navsep_web::{Request, ServerPool, Site, SiteHandler};
+/// use navsep_web::{Request, ServerPool, ShardedSiteHandler, ShardedSiteStore, Site};
 /// use navsep_xml::Document;
 /// use std::sync::Arc;
 ///
 /// let mut site = Site::new();
 /// site.put_document("a.xml", Document::parse("<a/>")?);
-/// let pool = ServerPool::start(Arc::new(SiteHandler::new(site)), 4);
+/// let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+/// let pool = ServerPool::start(Arc::new(ShardedSiteHandler::new(store)), 4);
 /// let response = pool.request(Request::get("a.xml")).recv().unwrap();
 /// assert!(response.status().is_success());
 /// pool.shutdown();
@@ -502,6 +445,8 @@ impl Drop for ServerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::site::Site;
+    use crate::testing::serve;
     use navsep_xml::Document;
 
     fn site() -> Site {
@@ -512,63 +457,8 @@ mod tests {
     }
 
     #[test]
-    fn site_handler_serves_get_and_head() {
-        let h = SiteHandler::new(site());
-        let get = h.handle(&Request::get("a.xml"));
-        assert!(get.status().is_success());
-        assert!(get.body_text().contains("hello"));
-        assert_eq!(get.content_type(), Some("application/xml"));
-        let head = h.handle(&Request::head("a.xml"));
-        assert!(head.status().is_success());
-        assert!(head.body().is_empty());
-        assert_eq!(h.requests_served(), 2);
-    }
-
-    #[test]
-    fn missing_resource_is_404() {
-        let h = SiteHandler::new(site());
-        let r = h.handle(&Request::get("ghost.xml"));
-        assert_eq!(r.status().code(), 404);
-    }
-
-    #[test]
-    fn slashed_and_bare_paths_serve_identically() {
-        let h = SiteHandler::new(site());
-        assert_eq!(
-            h.handle(&Request::get("/a.xml")),
-            h.handle(&Request::get("a.xml"))
-        );
-        assert_eq!(
-            h.handle(&Request::head("/a.xml")),
-            h.handle(&Request::head("a.xml"))
-        );
-        // Including the 404 body, which names the path.
-        assert_eq!(
-            h.handle(&Request::get("/ghost.xml")),
-            h.handle(&Request::get("ghost.xml"))
-        );
-        assert!(h.handle(&Request::get("/a.xml")).status().is_success());
-    }
-
-    #[test]
-    fn unsupported_methods_answer_405() {
-        let h = SiteHandler::new(site());
-        for method in [
-            Method::Post,
-            Method::Put,
-            Method::Delete,
-            Method::Options,
-            Method::Other,
-        ] {
-            let r = h.handle(&Request::new(method, "a.xml"));
-            assert_eq!(r.status().code(), 405, "{method}");
-            assert_eq!(r.header_value("allow"), Some("GET, HEAD"));
-        }
-    }
-
-    #[test]
     fn dropped_reply_channel_degrades_to_shed_not_panic() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 1);
+        let pool = ServerPool::start(Arc::new(serve(&site())), 1);
         // Simulate the contract violation directly: a reply channel whose
         // sender is gone without ever sending.
         let (tx, rx) = mpsc::sync_channel::<Response>(1);
@@ -582,7 +472,7 @@ mod tests {
 
     #[test]
     fn submit_delivers_through_the_callback() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 2);
+        let pool = ServerPool::start(Arc::new(serve(&site())), 2);
         let (tx, rx) = mpsc::sync_channel(1);
         pool.submit(Request::get("a.xml"), move |response| {
             tx.send(response).unwrap();
@@ -594,7 +484,7 @@ mod tests {
 
     #[test]
     fn submit_while_draining_sheds_through_the_callback() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 1);
+        let pool = ServerPool::start(Arc::new(serve(&site())), 1);
         pool.shared.draining.store(true, Ordering::SeqCst);
         let (tx, rx) = mpsc::sync_channel(1);
         pool.submit(Request::get("a.xml"), move |response| {
@@ -608,17 +498,17 @@ mod tests {
 
     #[test]
     fn publish_swaps_content() {
-        let h = SiteHandler::new(site());
+        let h = serve(&site());
         let mut new_site = Site::new();
         new_site.put_document("a.xml", Document::parse("<a>rewoven</a>").unwrap());
-        h.publish(new_site);
+        h.store().publish_incremental(&new_site);
         let r = h.handle(&Request::get("a.xml"));
         assert!(r.body_text().contains("rewoven"));
     }
 
     #[test]
     fn pool_serves_concurrently() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 4);
+        let pool = ServerPool::start(Arc::new(serve(&site())), 4);
         assert_eq!(pool.workers(), 4);
         let receivers: Vec<_> = (0..64)
             .map(|i| {
@@ -634,7 +524,7 @@ mod tests {
 
     #[test]
     fn pool_request_sync() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 2);
+        let pool = ServerPool::start(Arc::new(serve(&site())), 2);
         let r = pool.request_sync(Request::get("style.css"));
         assert_eq!(r.content_type(), Some("text/css"));
         // Drop without explicit shutdown must not hang.
@@ -708,13 +598,13 @@ mod tests {
 
     #[test]
     fn publish_under_load_is_safe() {
-        let handler = Arc::new(SiteHandler::new(site()));
+        let handler = Arc::new(serve(&site()));
         let pool = ServerPool::start(Arc::clone(&handler), 4);
         for i in 0..32 {
             if i % 8 == 0 {
                 let mut s = site();
                 s.put_text("version.txt", format!("v{i}"));
-                handler.publish(s);
+                handler.store().publish_incremental(&s);
             }
             let r = pool.request_sync(Request::get("a.xml"));
             assert!(r.status().is_success());

@@ -91,8 +91,9 @@ pub struct Visit {
 /// # Examples
 ///
 /// ```
-/// use navsep_web::{NavigationSession, Site, SiteHandler};
+/// use navsep_web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore, Site};
 /// use navsep_xml::Document;
+/// use std::sync::Arc;
 ///
 /// let mut site = Site::new();
 /// site.put_page("a.html", Document::parse(
@@ -100,15 +101,18 @@ pub struct Visit {
 /// site.put_page("b.html", Document::parse(
 ///     r#"<html><body>done</body></html>"#)?);
 ///
-/// let mut session = NavigationSession::new(SiteHandler::new(site));
+/// let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+/// let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
 /// session.visit("a.html")?;
 /// session.follow("to b")?;
 /// assert_eq!(session.current_path(), Some("b.html"));
 /// session.back()?;
 /// assert_eq!(session.current_path(), Some("a.html"));
-/// // The history recorded how we got to b: via its locator.
+/// // The history recorded how we got to b: via its locator, served by
+/// // generation 1.
 /// let entries = session.history().entries();
 /// assert_eq!(entries[1].locator.as_deref(), Some("b.html"));
+/// assert_eq!(entries[1].generation, Some(1));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug)]
@@ -450,11 +454,12 @@ impl<H: Handler> NavigationSession<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SiteHandler;
     use crate::site::Site;
+    use crate::store::ShardedSiteHandler;
+    use crate::testing::{serve, Unstamped};
     use navsep_xml::Document;
 
-    fn three_page_site() -> SiteHandler {
+    fn three_page_site() -> ShardedSiteHandler {
         let mut site = Site::new();
         site.put_page(
             "index.html",
@@ -482,7 +487,7 @@ mod tests {
             )
             .unwrap(),
         );
-        SiteHandler::new(site)
+        serve(&site)
     }
 
     #[test]
@@ -579,7 +584,7 @@ mod tests {
 
     #[test]
     fn history_records_locators_and_contexts() {
-        let mut s = NavigationSession::new(three_page_site());
+        let mut s = NavigationSession::new(Unstamped(three_page_site()));
         s.visit("index.html").unwrap();
         s.follow("Guitar").unwrap();
         s.follow_rel("next").unwrap();
@@ -589,13 +594,13 @@ mod tests {
         assert_eq!(entries[1].locator.as_deref(), Some("guitar.html"));
         assert_eq!(entries[2].locator.as_deref(), Some("guernica.html"));
         assert_eq!(entries[2].context.as_deref(), Some("by-painter:picasso"));
-        // Single-lock handler: no generations recorded.
+        // A handler without generations: none recorded.
         assert_eq!(entries[2].generation, None);
     }
 
     #[test]
     fn sharded_store_generation_is_observable() {
-        use crate::store::{ShardedSiteHandler, ShardedSiteStore};
+        use crate::store::ShardedSiteStore;
         use std::sync::Arc;
 
         let mut site = Site::new();
@@ -608,8 +613,13 @@ mod tests {
         let mut s = NavigationSession::new(ShardedSiteHandler::new(Arc::clone(&store)));
         s.visit("a.html").unwrap();
         assert_eq!(s.current_generation(), Some(1));
-        // A reweave lands between two follows; the session sees it.
-        store.publish(&site);
+        // A reweave that edits b.html lands between two follows; the
+        // session sees it.
+        site.put_page(
+            "b.html",
+            Document::parse("<html><body>edited</body></html>").unwrap(),
+        );
+        store.publish_incremental(&site);
         s.follow("b").unwrap();
         assert_eq!(s.current_generation(), Some(2));
         let gens: Vec<Option<u64>> = s.trace().iter().map(|v| v.generation).collect();
@@ -622,7 +632,7 @@ mod tests {
     #[test]
     fn revalidate_classifies_and_refreshes() {
         use crate::history::Freshness;
-        use crate::store::{ShardedSiteHandler, ShardedSiteStore};
+        use crate::store::ShardedSiteStore;
         use std::sync::Arc;
 
         let mut site = Site::new();
@@ -632,7 +642,11 @@ mod tests {
         s.visit("a.html").unwrap();
         assert_eq!(s.revalidate().unwrap(), Freshness::Fresh);
 
-        store.publish(&site);
+        site.put_page(
+            "a.html",
+            Document::parse("<html><body>edited</body></html>").unwrap(),
+        );
+        store.publish_incremental(&site);
         assert_eq!(
             s.revalidate().unwrap(),
             Freshness::Stale {
@@ -646,14 +660,14 @@ mod tests {
         assert_eq!(s.revalidate().unwrap(), Freshness::Fresh);
 
         // Handlers without generations classify Unknown.
-        let mut plain = NavigationSession::new(three_page_site());
+        let mut plain = NavigationSession::new(Unstamped(three_page_site()));
         plain.visit("index.html").unwrap();
         assert_eq!(plain.revalidate().unwrap(), Freshness::Unknown);
     }
 
     #[test]
     fn back_serves_the_recorded_generations_snapshot() {
-        use crate::store::{ShardedSiteHandler, ShardedSiteStore};
+        use crate::store::ShardedSiteStore;
         use std::sync::Arc;
 
         let mut site = Site::new();
@@ -701,7 +715,7 @@ mod tests {
 
     #[test]
     fn degraded_back_refreshes_the_entry_stamp() {
-        use crate::store::{ShardedSiteHandler, ShardedSiteStore};
+        use crate::store::ShardedSiteStore;
         use std::sync::Arc;
 
         let mut site = Site::new();
@@ -712,7 +726,7 @@ mod tests {
         site.put_page("b.html", Document::parse("<html><body/></html>").unwrap());
         // Retention 1: no history epochs survive a publish.
         let store = Arc::new(ShardedSiteStore::with_retention(4, 1));
-        store.publish(&site);
+        store.publish_incremental(&site);
         let mut s = NavigationSession::new(ShardedSiteHandler::new(Arc::clone(&store)));
         s.visit("a.html").unwrap();
         s.follow("b").unwrap();
@@ -730,8 +744,8 @@ mod tests {
     }
 
     #[test]
-    fn single_lock_handler_has_no_generation() {
-        let mut s = NavigationSession::new(three_page_site());
+    fn handler_without_generations_records_none() {
+        let mut s = NavigationSession::new(Unstamped(three_page_site()));
         s.visit("index.html").unwrap();
         assert_eq!(s.current_generation(), None);
         assert_eq!(s.trace()[0].generation, None);
@@ -778,7 +792,7 @@ mod tests {
             AccessStructureKind::GuidedTour,
         )
         .unwrap();
-        let mut s = NavigationSession::new(SiteHandler::new(site));
+        let mut s = NavigationSession::new(serve(&site));
         s.visit("index.html").unwrap();
         s.set_route(RouteGuard::new(
             &RouteSpec::parse("any/next*").unwrap(),

@@ -1,18 +1,17 @@
-//! The sharded, epoch-published site store — the scale path past one lock.
+//! The sharded, epoch-published site store — serving without a site-wide
+//! lock.
 //!
-//! [`SiteHandler`](crate::SiteHandler) guards the whole [`Site`] behind a
-//! single `RwLock`, so a publish (re-weave) write-locks every reader out at
-//! once and every read contends on one lock word. [`ShardedSiteStore`]
-//! removes both bottlenecks:
+//! [`ShardedSiteStore`] keeps a publish (re-weave) from locking every
+//! reader out at once and keeps readers off one shared lock word:
 //!
 //! * **Sharding** — resources are partitioned across N shards by a stable
 //!   hash of the page id (the path), so concurrent readers of different
 //!   pages touch different locks;
 //! * **Epoch publishing** — each shard holds an `Arc<Shard>` snapshot
 //!   stamped with the *generation* that published it. A publish builds the
-//!   new shards entirely off-lock (while reads proceed), then swaps the N
-//!   `Arc` pointers under a brief write lock each. Readers never wait on a
-//!   weave — only on a pointer swap.
+//!   new shards while reads proceed on the old ones, then swaps the
+//!   changed `Arc` pointers under a brief write lock each. Readers never
+//!   wait on a weave — only on a pointer swap.
 //!
 //! A read clones the shard's `Arc` and then works lock-free on the
 //! immutable snapshot, so every response is served from exactly one
@@ -22,15 +21,12 @@
 //!
 //! Immutability buys a second win: response bodies are **serialized once
 //! at publish time** and served as refcounted [`bytes::Bytes`] clones, so
-//! a `GET` allocates nothing — where the single-lock handler re-serializes
-//! the document on every request.
+//! a `GET` allocates nothing.
 //!
-//! ## Incremental publishing
+//! ## Publishing
 //!
-//! [`publish`](ShardedSiteStore::publish) re-renders and re-allocates every
-//! page into fresh shard snapshots — O(site) work even for a one-page edit.
-//! The incremental path applies a [`ChangeSet`] (path → new resource, or
-//! removal) to the live epoch, keyed by a stable content key
+//! Every publish applies a [`ChangeSet`] (path → new resource, or removal)
+//! to the live epoch, keyed by a stable content key
 //! ([`navsep_xml::Document::content_hash`] for documents, an FNV of the raw
 //! bytes otherwise): a put whose key is unchanged reuses the previous
 //! epoch's `Arc<Published>` verbatim (no render, no allocation), a changed
@@ -40,10 +36,12 @@
 //! the change set directly
 //! ([`try_publish_changes`](ShardedSiteStore::try_publish_changes)), which
 //! looks only at the shards it lands in;
-//! [`publish_incremental`](ShardedSiteStore::publish_incremental) diffs a
-//! whole site into one first and applies it the same way. `cargo bench -p
-//! navsep-bench --bench server_throughput` (`incremental_publish` group)
-//! quantifies the gap to the full path.
+//! [`try_publish_incremental`](ShardedSiteStore::try_publish_incremental)
+//! diffs a whole site into one first and applies it the same way. Both run
+//! one write routine, which consults an [armed](ShardedSiteStore::arm_faults)
+//! fault plan before anything goes live. `cargo bench -p navsep-bench
+//! --bench server_throughput` (`incremental_publish` group) quantifies the
+//! gap to re-rendering the whole site.
 //!
 //! ## Retained epochs and time travel
 //!
@@ -162,9 +160,8 @@ fn content_key(res: &Resource) -> (u64, Option<bytes::Bytes>) {
 /// the incremental diff compares.
 ///
 /// Epoch snapshots are immutable, so the transmitted bytes of a resource
-/// cannot change until the next publish — serializing per `GET` (what
-/// [`SiteHandler`](crate::SiteHandler) must do over its mutable [`Site`])
-/// would redo identical work on every request.
+/// cannot change until the next publish — serializing per `GET` would
+/// redo identical work on every request.
 ///
 /// The resource is the same `Arc` the published [`Site`] held, so an epoch
 /// shares its parsed documents with the publisher instead of copying them.
@@ -382,8 +379,8 @@ impl Drop for EpochPin<'_> {
     }
 }
 
-/// A sharded site store with atomic epoch publishing, an incremental
-/// publish path, and a bounded ring of retained generations.
+/// A sharded site store with atomic, incremental epoch publishing and a
+/// bounded ring of retained generations.
 ///
 /// # Examples
 ///
@@ -397,8 +394,8 @@ impl Drop for EpochPin<'_> {
 ///
 /// let store = ShardedSiteStore::new(4);
 /// assert_eq!(store.generation(), 0);
-/// let generation = store.publish(&site);
-/// assert_eq!(generation, 1);
+/// let stats = store.publish_incremental(&site);
+/// assert_eq!((stats.generation, stats.pages_rendered), (1, 2));
 ///
 /// let read = store.get("a.xml").expect("published");
 /// assert_eq!(read.generation(), 1);
@@ -436,10 +433,10 @@ pub struct ShardedSiteStore {
     /// Ring capacity (≥ 1).
     retain: usize,
     /// Fast-path flag for [`arm_faults`](Self::arm_faults); when false the
-    /// fault subsystem costs one relaxed load per transactional publish.
+    /// fault subsystem costs one relaxed load per publish.
     faults_armed: AtomicBool,
-    /// The armed plan, consulted at `fault::sites::STORE_PUBLISH` by
-    /// [`try_publish_incremental`](Self::try_publish_incremental).
+    /// The armed plan, consulted at `fault::sites::STORE_PUBLISH` by every
+    /// publish.
     faults: RwLock<Option<Arc<FaultPlan>>>,
 }
 
@@ -461,10 +458,9 @@ impl ShardedSiteStore {
     /// counts, so `retain = 1` keeps no history at all).
     ///
     /// Retention costs memory proportional to what *changed* between the
-    /// retained epochs: incremental publishes share unchanged shards
-    /// between epochs, but every **full** [`publish`](Self::publish)
-    /// re-renders everything, so a store fed only full publishes holds up
-    /// to `retain` complete site copies. A store that never serves
+    /// retained epochs: publishes share unchanged shards between epochs,
+    /// so a store whose every publish changes every page holds up to
+    /// `retain` complete site copies. A store that never serves
     /// time-travel reads should use `retain = 1`.
     ///
     /// # Panics
@@ -488,9 +484,8 @@ impl ShardedSiteStore {
         }
     }
 
-    /// Arms `plan` for the transactional publish path: every subsequent
-    /// [`try_publish_incremental`](Self::try_publish_incremental) consults
-    /// it at [`fault::sites::STORE_PUBLISH`]. Disarmed stores pay a single
+    /// Arms `plan`: every subsequent publish consults it at
+    /// [`fault::sites::STORE_PUBLISH`]. Disarmed stores pay a single
     /// relaxed atomic load.
     pub fn arm_faults(&self, plan: Arc<FaultPlan>) {
         *write(&self.faults) = Some(plan);
@@ -541,7 +536,7 @@ impl ShardedSiteStore {
     /// A store seeded with `site` as generation 1.
     pub fn from_site(shards: usize, site: &Site) -> Self {
         let store = Self::new(shards);
-        store.publish(site);
+        store.publish_incremental(site);
         store
     }
 
@@ -570,58 +565,6 @@ impl ShardedSiteStore {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Publishes `site` as the next generation, returning that generation.
-    ///
-    /// This is the **full** path: every resource is re-rendered into fresh
-    /// shard snapshots. The new snapshots are built *before* any lock is
-    /// taken; readers keep being served from the previous epoch for the
-    /// whole build. The swap itself write-locks each shard just long
-    /// enough to replace one `Arc` pointer. Concurrent publishes are
-    /// serialized, so per-shard generations are monotone.
-    ///
-    /// For reweaves that change few pages, prefer
-    /// [`publish_incremental`](Self::publish_incremental).
-    pub fn publish(&self, site: &Site) -> u64 {
-        let n = self.shards.len();
-        let mut partitions: Vec<BTreeMap<String, Arc<Published>>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
-        for (path, res) in site.iter_shared() {
-            // Render once here so every GET of this epoch is allocation-free.
-            let (key, rendered) = content_key(res);
-            let published = Published::new(res, key, rendered);
-            partitions[self.shard_of(path)].insert(path.to_string(), Arc::new(published));
-        }
-        let swap_guard = lock(&self.publish_lock);
-        // The publish lock serializes publishers, so load+store is race-free
-        // here; the counter is advanced only AFTER every shard serves the
-        // new epoch, keeping `generation()`'s contract (see its doc).
-        let generation = self.generation.load(Ordering::Acquire) + 1;
-        let epoch_shards: Vec<Arc<Shard>> = partitions
-            .into_iter()
-            .map(|resources| {
-                Arc::new(Shard {
-                    generation,
-                    resources,
-                })
-            })
-            .collect();
-        // Retain the epoch BEFORE swapping the live shards: a reader that
-        // observes a generation-N stamp must already be able to `get_at`
-        // it (serving an epoch slightly before its swap completes is
-        // harmless — it is real published data).
-        let evicted = self.push_epoch(Epoch {
-            generation,
-            shards: epoch_shards.clone(),
-        });
-        for (shard, snapshot) in self.shards.iter().zip(epoch_shards) {
-            *write(shard) = snapshot;
-        }
-        self.generation.store(generation, Ordering::Release);
-        drop(swap_guard);
-        self.retire(evicted, site.len(), generation);
-        generation
-    }
-
     /// Publishes `site` as the next generation by **diffing against the
     /// previous epoch**: the site is diffed into a [`ChangeSet`] (every
     /// path whose resource is not the very `Arc` the previous epoch
@@ -642,27 +585,29 @@ impl ShardedSiteStore {
     /// A publish that changes nothing still advances the global
     /// generation (the epoch ring records it), but no shard is touched.
     ///
-    /// This path never consults an armed fault plan (and thus cannot
-    /// fail); the transactional entry point for chaos testing is
-    /// [`try_publish_incremental`](Self::try_publish_incremental).
+    /// This is [`try_publish_incremental`](Self::try_publish_incremental)
+    /// for a store with no [armed](Self::arm_faults) fault plan, where it
+    /// cannot fail.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an armed fault plan fails the publish.
     ///
     /// [`try_publish_changes`]: Self::try_publish_changes
     pub fn publish_incremental(&self, site: &Site) -> IncrementalPublish {
-        match self.apply_changes(Changes::Site(site), false) {
-            Ok(publish) => publish,
-            Err(_) => unreachable!("publish_incremental never consults fault plans"),
-        }
+        self.try_publish_incremental(site)
+            .expect("an armed fault plan failed publish_incremental")
     }
 
-    /// [`publish_incremental`](Self::publish_incremental), but consulting
-    /// any [armed](Self::arm_faults) fault plan at
+    /// [`publish_incremental`](Self::publish_incremental), but returning
+    /// the failure of an [armed](Self::arm_faults) fault plan, consulted at
     /// [`fault::sites::STORE_PUBLISH`] — under the publish lock, after the
     /// diff and render, **before** any epoch retention or shard swap. An
     /// `Err` therefore guarantees the store still serves the old epoch:
     /// same generation, same retained ring, no shard touched. Generations
     /// stay monotone across any mix of failed and successful publishes.
     pub fn try_publish_incremental(&self, site: &Site) -> Result<IncrementalPublish, FaultError> {
-        self.apply_changes(Changes::Site(site), true)
+        self.apply_changes(Changes::Site(site))
     }
 
     /// Publishes the live epoch with `changes` applied as the next
@@ -683,22 +628,20 @@ impl ShardedSiteStore {
         &self,
         changes: &ChangeSet,
     ) -> Result<IncrementalPublish, FaultError> {
-        self.apply_changes(Changes::Set(changes), true)
+        self.apply_changes(Changes::Set(changes))
     }
 
-    /// The one incremental publish: under the publish lock, `changes` is
-    /// taken as a change set against the live epoch (a whole site is
-    /// diffed into one: every path whose resource is not the very `Arc`
-    /// the live epoch serves, plus a removal of every path it dropped),
-    /// applied shard by shard, then (after the fault check) retained and
-    /// swapped in.
-    fn apply_changes(
-        &self,
-        changes: Changes<'_>,
-        consult_faults: bool,
-    ) -> Result<IncrementalPublish, FaultError> {
+    /// The one publish: under the publish lock, `changes` is taken as a
+    /// change set against the live epoch (a whole site is diffed into one:
+    /// every path whose resource is not the very `Arc` the live epoch
+    /// serves, plus a removal of every path it dropped), applied shard by
+    /// shard, then (after the fault check) retained and swapped in.
+    fn apply_changes(&self, changes: Changes<'_>) -> Result<IncrementalPublish, FaultError> {
         let n = self.shards.len();
         let swap_guard = lock(&self.publish_lock);
+        // The publish lock serializes publishers, so load+store is race-free
+        // here; the counter is advanced only AFTER every shard serves the
+        // new epoch, keeping `generation()`'s contract (see its doc).
         let generation = self.generation.load(Ordering::Acquire) + 1;
         let previous: Vec<Arc<Shard>> = self.shards.iter().map(|s| Arc::clone(&read(s))).collect();
         // The changes by shard, borrowing every path: a whole-site diff
@@ -773,11 +716,11 @@ impl ShardedSiteStore {
         // The last moment a publish can abort cleanly: nothing below this
         // point may fail, because retention and shard swaps must land
         // together.
-        if consult_faults {
-            self.consult_publish_faults()?;
-        }
-        // Retain before swapping, as in `publish`: a generation-N stamp a
-        // reader observes must already be servable through `get_at`.
+        self.consult_publish_faults()?;
+        // Retain the epoch BEFORE swapping the live shards: a reader that
+        // observes a generation-N stamp must already be able to `get_at`
+        // it (serving an epoch slightly before its swap completes is
+        // harmless — it is real published data).
         let evicted = self.push_epoch(Epoch {
             generation,
             shards: epoch_shards.clone(),
@@ -1181,8 +1124,8 @@ mod tests {
         let store = ShardedSiteStore::new(4);
         assert_eq!(store.generation(), 0);
         assert!(store.get("a.xml").is_none());
-        assert_eq!(store.publish(&site("v1")), 1);
-        assert_eq!(store.publish(&site("v2")), 2);
+        assert_eq!(store.publish_incremental(&site("v1")).generation, 1);
+        assert_eq!(store.publish_incremental(&site("v2")).generation, 2);
         let read = store.get("a.xml").unwrap();
         assert_eq!(read.generation(), 2);
         assert!(String::from_utf8_lossy(&read.resource().to_bytes()).contains("v2"));
@@ -1232,7 +1175,8 @@ mod tests {
         let handler = ShardedSiteHandler::new(Arc::clone(&store));
         let r = handler.handle(&Request::get("a.xml"));
         assert_eq!(r.header_value(GENERATION_HEADER), Some("1"));
-        store.publish(&site("h2"));
+        assert_eq!(r.content_type(), Some("application/xml"));
+        store.publish_incremental(&site("h2"));
         let r = handler.handle(&Request::get("a.xml"));
         assert_eq!(r.header_value(GENERATION_HEADER), Some("2"));
         assert!(r.body_text().contains("h2"));
@@ -1253,7 +1197,7 @@ mod tests {
         let fresh = handler.handle(&Request::get("a.xml").header(IF_GENERATION_HEADER, "1"));
         assert_eq!(fresh.header_value(STALE_HEADER), Some("fresh"));
         // A reweave supersedes the recorded generation: stale.
-        store.publish(&site("v2"));
+        store.publish_incremental(&site("v2"));
         let stale = handler.handle(&Request::get("a.xml").header(IF_GENERATION_HEADER, "1"));
         assert_eq!(stale.header_value(STALE_HEADER), Some("stale"));
         assert_eq!(stale.header_value(GENERATION_HEADER), Some("2"));
@@ -1275,7 +1219,7 @@ mod tests {
     #[test]
     fn slashed_and_bare_paths_serve_identically() {
         let store = Arc::new(ShardedSiteStore::from_site(4, &site("norm")));
-        store.publish(&site("norm2"));
+        store.publish_incremental(&site("norm2"));
         let handler = ShardedSiteHandler::new(store);
         let shapes = [
             Request::get("a.xml"),
@@ -1340,23 +1284,17 @@ mod tests {
 
     #[test]
     fn publishing_renders_a_fresh_page_once_and_seeds_its_hash_from_the_body() {
-        for incremental in [false, true] {
-            let fresh = site("fresh");
-            let store = ShardedSiteStore::new(4);
-            if incremental {
-                store.publish_incremental(&fresh);
-            } else {
-                store.publish(&fresh);
-            }
-            let body = store.get("a.xml").unwrap().body();
-            let doc = fresh.get("a.xml").unwrap().document().unwrap();
-            assert_eq!(&body[..], doc.to_xml_string().as_bytes());
-            // The memo is set, to the hash of the served bytes.
-            assert_eq!(
-                doc.content_hash_with_render(),
-                (navsep_xml::fnv1a64(&body), None)
-            );
-        }
+        let fresh = site("fresh");
+        let store = ShardedSiteStore::new(4);
+        store.publish_incremental(&fresh);
+        let body = store.get("a.xml").unwrap().body();
+        let doc = fresh.get("a.xml").unwrap().document().unwrap();
+        assert_eq!(&body[..], doc.to_xml_string().as_bytes());
+        // The memo is set, to the hash of the served bytes.
+        assert_eq!(
+            doc.content_hash_with_render(),
+            (navsep_xml::fnv1a64(&body), None)
+        );
     }
 
     #[test]
@@ -1454,9 +1392,22 @@ mod tests {
         assert_eq!(stats.generation, 2);
         assert!(String::from_utf8_lossy(&store.get("a.xml").unwrap().body()).contains("v2"));
 
-        // Disarmed again: the plain path never consults the plan.
+        // Disarmed: the publish goes through unconsulted.
         store.disarm_faults();
         assert_eq!(store.publish_incremental(&site("v3")).generation, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "an armed fault plan failed publish_incremental")]
+    fn publish_incremental_consults_an_armed_plan() {
+        use crate::fault::{sites, FaultRule};
+
+        let store = ShardedSiteStore::from_site(4, &site("v1"));
+        store.arm_faults(Arc::new(FaultPlan::new(7).rule(FaultRule::at(
+            sites::STORE_PUBLISH,
+            FaultKind::Error("disk full".into()),
+        ))));
+        store.publish_incremental(&site("v2"));
     }
 
     #[test]
@@ -1484,10 +1435,10 @@ mod tests {
     #[test]
     fn retention_evicts_oldest_and_pins_bias_eviction() {
         let store = ShardedSiteStore::with_retention(2, 3);
-        store.publish(&site("v1"));
+        store.publish_incremental(&site("v1"));
         let _pin = store.pin(1);
         for round in 2..=5u64 {
-            store.publish(&site(&format!("v{round}")));
+            store.publish_incremental(&site(&format!("v{round}")));
         }
         // Capacity 3: generation 1 survives because it is pinned; the
         // unpinned middle generations were evicted instead.
@@ -1498,7 +1449,7 @@ mod tests {
         assert!(store.get_at("a.xml", 1).is_some());
         assert!(store.get_at("a.xml", 2).is_none(), "evicted past horizon");
         drop(_pin);
-        store.publish(&site("v6"));
+        store.publish_incremental(&site("v6"));
         // Unpinned now: generation 1 is the eviction victim.
         assert!(!store.retained_generations().contains(&1));
         assert!(store.get_at("a.xml", 1).is_none());
@@ -1507,8 +1458,8 @@ mod tests {
     #[test]
     fn handler_serves_at_generation_and_degrades_explicitly() {
         let store = Arc::new(ShardedSiteStore::with_retention(4, 2));
-        store.publish(&site("v1"));
-        store.publish(&site("v2"));
+        store.publish_incremental(&site("v1"));
+        store.publish_incremental(&site("v2"));
         let handler = ShardedSiteHandler::new(Arc::clone(&store));
         // A retained generation is served as-was, no degradation header.
         let old = handler.handle(&Request::get("a.xml").header(AT_GENERATION_HEADER, "1"));
@@ -1517,7 +1468,7 @@ mod tests {
         assert!(old.body_text().contains("v1"));
         // Push generation 1 past the horizon: the same request degrades to
         // latest, explicitly.
-        store.publish(&site("v3"));
+        store.publish_incremental(&site("v3"));
         let degraded = handler.handle(&Request::get("a.xml").header(AT_GENERATION_HEADER, "1"));
         assert_eq!(degraded.header_value(DEGRADED_HEADER), Some("latest"));
         assert_eq!(degraded.header_value(GENERATION_HEADER), Some("3"));
@@ -1548,14 +1499,11 @@ mod tests {
         SHARDS_FREED.set((0, 0));
         let store = ShardedSiteStore::with_retention(4, 2);
         for round in 0..12 {
-            let site = pages(40, &format!("v{round}"));
-            if round % 3 == 0 {
-                store.publish(&site);
-            } else {
-                let mut edited = site.clone();
-                edited.put_text("p0.txt", format!("edited {round}"));
-                store.publish_incremental(&edited);
+            let mut site = pages(40, &format!("v{round}"));
+            if round % 3 != 0 {
+                site.put_text("p0.txt", format!("edited {round}"));
             }
+            store.publish_incremental(&site);
         }
         let (freed, under_lock) = SHARDS_FREED.get();
         assert!(freed > 0, "the churn must free evicted shards");
@@ -1581,11 +1529,11 @@ mod tests {
     fn one_page_publishes_free_retired_pages_one_at_a_time() {
         let store = ShardedSiteStore::with_retention(4, 2);
         for round in 0..3 {
-            store.publish(&pages(40, &format!("v{round}")));
+            store.publish_incremental(&pages(40, &format!("v{round}")));
             assert_eq!(
                 store.retired_shards(),
                 0,
-                "a full publish frees what it retires"
+                "a whole-site publish frees what it retires"
             );
         }
         // Evicting a full epoch retires its four shards and their forty
@@ -1621,7 +1569,7 @@ mod tests {
         assert_eq!(store.len(), 0);
         assert!(store.is_empty());
         assert!(store.paths().is_empty());
-        store.publish(&site("v1"));
+        store.publish_incremental(&site("v1"));
         assert_eq!(store.len(), 3);
         assert_eq!(store.paths(), ["a.xml", "b.xml", "style.css"]);
     }

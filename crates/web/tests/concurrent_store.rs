@@ -47,7 +47,7 @@ fn body_generation(body: &str) -> u64 {
 #[test]
 fn readers_never_observe_torn_generations() {
     let store = Arc::new(ShardedSiteStore::new(8));
-    store.publish(&stamped_site(1));
+    store.publish_incremental(&stamped_site(1));
     let handler = Arc::new(ShardedSiteHandler::new(Arc::clone(&store)));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -59,7 +59,7 @@ fn readers_never_observe_torn_generations() {
             scope.spawn(move || {
                 for _ in 0..200 {
                     let next = store.generation() + 1;
-                    store.publish(&stamped_site(next));
+                    store.publish_incremental(&stamped_site(next));
                 }
                 stop.store(true, Ordering::Release);
             });
@@ -115,7 +115,7 @@ fn direct_store_reads_are_single_generation() {
     // Same invariant through the raw store API (no handler): the
     // ResourceRead's generation always matches the resource it carries.
     let store = Arc::new(ShardedSiteStore::new(4));
-    store.publish(&stamped_site(1));
+    store.publish_incremental(&stamped_site(1));
     let stop = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
@@ -125,7 +125,7 @@ fn direct_store_reads_are_single_generation() {
             scope.spawn(move || {
                 for _ in 0..100 {
                     let next = store.generation() + 1;
-                    store.publish(&stamped_site(next));
+                    store.publish_incremental(&stamped_site(next));
                 }
                 stop.store(true, Ordering::Release);
             });
@@ -413,7 +413,7 @@ fn len_and_paths_stay_coherent_under_publish_churn() {
         site
     };
     let store = Arc::new(ShardedSiteStore::new(8));
-    store.publish(&stamped_site(1));
+    store.publish_incremental(&stamped_site(1));
     let stop = Arc::new(AtomicBool::new(false));
 
     std::thread::scope(|scope| {
@@ -424,9 +424,9 @@ fn len_and_paths_stay_coherent_under_publish_churn() {
                 for round in 0..100u64 {
                     let generation = store.generation() + 1;
                     if round % 2 == 0 {
-                        store.publish(&big_site(generation));
+                        store.publish_incremental(&big_site(generation));
                     } else {
-                        store.publish(&stamped_site(generation));
+                        store.publish_incremental(&stamped_site(generation));
                     }
                 }
                 stop.store(true, Ordering::Release);
@@ -540,7 +540,7 @@ fn concurrent_publishers_stay_monotone() {
                     (0..25)
                         .map(|_| {
                             let next = store.generation() + 1;
-                            store.publish(&stamped_site(next))
+                            store.publish_incremental(&stamped_site(next)).generation
                         })
                         .collect::<Vec<u64>>()
                 })

@@ -21,7 +21,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 /// Five published generations over a retention ring of 2: generation 5 is
-/// latest, 4 is retained, 1–3 are past the horizon.
+/// latest, 4 is retained, 1–3 are past the horizon. `a.xml` and
+/// `index.html` change in every generation; `style.css` never does, so it
+/// keeps generation 1's stamp.
 fn fixture() -> (Arc<ShardedSiteHandler>, HttpListener) {
     let store = Arc::new(ShardedSiteStore::with_retention(8, 2));
     for generation in 1..=5u64 {
@@ -38,7 +40,7 @@ fn fixture() -> (Arc<ShardedSiteHandler>, HttpListener) {
             .unwrap(),
         );
         site.put_css("style.css", "p { margin: 0 }");
-        store.publish(&site);
+        store.publish_incremental(&site);
     }
     let handler = Arc::new(ShardedSiteHandler::new(store));
     let listener = HttpListener::bind("127.0.0.1:0", Arc::clone(&handler), ListenerConfig::new(2))

@@ -13,8 +13,9 @@ use navsep::hypermodel::{
     AccessStructureKind, Cardinality, ConceptualSchema, InstanceStore, NavigationalSchema,
 };
 use navsep::style::to_display_text;
-use navsep::web::{NavigationSession, SiteHandler};
+use navsep::web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore};
 use std::error::Error;
+use std::sync::Arc;
 
 const CATALOG_TRANSFORM: &str = r#"<transform>
   <template match="lesson">
@@ -128,7 +129,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let woven = weave_separated(&sources)?;
 
     // Take the course tour.
-    let mut session = NavigationSession::new(SiteHandler::new(woven.site));
+    let store = Arc::new(ShardedSiteStore::from_site(1, &woven.site));
+    let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
     session.visit("rust-101.html")?;
     println!(
         "\n--- rust-101.html ---\n{}",

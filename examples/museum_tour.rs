@@ -12,7 +12,7 @@ use navsep::core::spec::contextual_spec;
 use navsep::core::{separated_sources, weave_separated};
 use navsep::hypermodel::AccessStructureKind;
 use navsep::style::to_display_text;
-use navsep::web::{NavigationSession, Request, ServerPool, SiteHandler};
+use navsep::web::{NavigationSession, Request, ServerPool, ShardedSiteHandler, ShardedSiteStore};
 use std::error::Error;
 use std::sync::Arc;
 
@@ -23,7 +23,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let woven = weave_separated(&separated_sources(&store, &nav, &spec)?)?;
 
     // Serve the site from a 4-worker pool (the web tier of 2002, simulated).
-    let handler = Arc::new(SiteHandler::new(woven.site));
+    let store = Arc::new(ShardedSiteStore::from_site(1, &woven.site));
+    let handler = Arc::new(ShardedSiteHandler::new(store));
     let pool = ServerPool::start(Arc::clone(&handler), 4);
     let ok = pool.request_sync(Request::get("picasso.html"));
     println!("server warm-up: GET /picasso.html → {}", ok.status());

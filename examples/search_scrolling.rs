@@ -14,9 +14,10 @@ use navsep::core::museum::{museum_navigation, paper_museum};
 use navsep::core::spec::paper_spec;
 use navsep::core::{separated_sources, Weave};
 use navsep::hypermodel::AccessStructureKind;
-use navsep::web::{NavigationSession, Site, SiteHandler};
+use navsep::web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore, Site};
 use navsep::xml::{Document, ElementBuilder};
 use std::error::Error;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // --- part 1: the google-style results page of §2 -------------------
@@ -56,7 +57,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         )?,
     );
 
-    let mut session = NavigationSession::new(SiteHandler::new(site));
+    let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+    let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
     session.visit("results-1.html")?;
     println!(
         "on {:?}, context = {:?}",

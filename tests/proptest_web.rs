@@ -1,9 +1,10 @@
 //! Model-based property test: a navigation session's back/forward behaviour
 //! must match a simple reference model under arbitrary action sequences.
 
-use navsep::web::{NavigationSession, SessionError, Site, SiteHandler};
+use navsep::web::{NavigationSession, SessionError, ShardedSiteHandler, ShardedSiteStore, Site};
 use navsep::xml::Document;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A ring site: page i links to page (i+1) % n with anchor text "next".
 fn ring_site(n: usize) -> Site {
@@ -84,7 +85,8 @@ proptest! {
 
     #[test]
     fn session_history_matches_model(n in 2usize..6, script in actions()) {
-        let mut session = NavigationSession::new(SiteHandler::new(ring_site(n)));
+        let store = Arc::new(ShardedSiteStore::from_site(1, &ring_site(n)));
+        let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
         session.visit("p0.html").unwrap();
         let mut model = Model { n, current: 0, back: Vec::new(), forward: Vec::new() };
 

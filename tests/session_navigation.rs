@@ -5,10 +5,17 @@ use navsep::core::museum::{museum_navigation, paper_museum};
 use navsep::core::spec::{contextual_spec, paper_spec};
 use navsep::core::{separated_sources, weave_separated};
 use navsep::hypermodel::AccessStructureKind;
-use navsep::web::{NavigationSession, Request, ServerPool, SiteHandler};
+use navsep::web::{
+    NavigationSession, Request, ServerPool, ShardedSiteHandler, ShardedSiteStore, Site,
+};
 use std::sync::Arc;
 
-fn woven_site(two_families: bool) -> navsep::web::Site {
+/// `site` served from a one-shard store.
+fn serve(site: &Site) -> ShardedSiteHandler {
+    ShardedSiteHandler::new(Arc::new(ShardedSiteStore::from_site(1, site)))
+}
+
+fn woven_site(two_families: bool) -> Site {
     let store = paper_museum();
     let nav = museum_navigation();
     let spec = if two_families {
@@ -23,7 +30,7 @@ fn woven_site(two_families: bool) -> navsep::web::Site {
 
 #[test]
 fn full_tour_through_the_woven_site() {
-    let mut s = NavigationSession::new(SiteHandler::new(woven_site(false)));
+    let mut s = NavigationSession::new(serve(&woven_site(false)));
     s.visit("picasso.html").unwrap();
     s.follow("Guitar").unwrap();
     assert_eq!(s.current_context(), Some("by-painter:picasso"));
@@ -49,7 +56,7 @@ fn full_tour_through_the_woven_site() {
 fn context_dependent_next_on_the_same_page() {
     let site = woven_site(true);
     // Via the author.
-    let mut s = NavigationSession::new(SiteHandler::new(site.clone()));
+    let mut s = NavigationSession::new(serve(&site));
     s.visit("picasso.html").unwrap();
     s.follow("Guitar").unwrap();
     let ctx = s.current_context().unwrap().to_string();
@@ -66,7 +73,7 @@ fn context_dependent_next_on_the_same_page() {
     assert_eq!(s.current_path(), Some("guernica.html"));
 
     // Via the movement: same page, different Next.
-    let mut s = NavigationSession::new(SiteHandler::new(site));
+    let mut s = NavigationSession::new(serve(&site));
     s.visit("cubism.html").unwrap();
     s.follow("Guitar").unwrap();
     let ctx = s.current_context().unwrap().to_string();
@@ -87,7 +94,7 @@ fn context_dependent_next_on_the_same_page() {
 fn guernica_absent_from_movement_context() {
     // Guernica is Surrealism, not Cubism: the cubism index must not list it.
     let site = woven_site(true);
-    let mut s = NavigationSession::new(SiteHandler::new(site));
+    let mut s = NavigationSession::new(serve(&site));
     s.visit("cubism.html").unwrap();
     let page = s.current_page().unwrap();
     assert!(page.link_by_text("Guitar").is_some());
@@ -96,7 +103,7 @@ fn guernica_absent_from_movement_context() {
 
 #[test]
 fn concurrent_sessions_share_one_pool() {
-    let handler = Arc::new(SiteHandler::new(woven_site(false)));
+    let handler = Arc::new(serve(&woven_site(false)));
     let pool = ServerPool::start(Arc::clone(&handler), 4);
     // Hammer the pool from several threads while sessions browse.
     let mut threads = Vec::new();
@@ -126,7 +133,7 @@ fn concurrent_sessions_share_one_pool() {
 #[test]
 fn republish_switches_access_structure_live() {
     // The separated discipline makes the requirement change a re-weave:
-    // publish() swaps the site under the same handler.
+    // a publish swaps the site under the same handler.
     let store = paper_museum();
     let nav = museum_navigation();
     let v1 = weave_separated(
@@ -145,12 +152,12 @@ fn republish_switches_access_structure_live() {
     .unwrap()
     .site;
 
-    let handler = Arc::new(SiteHandler::new(v1));
+    let handler = Arc::new(serve(&v1));
     let mut s = NavigationSession::new(Arc::clone(&handler));
     s.visit("guitar.html").unwrap();
     assert!(s.follow_rel("next").is_err(), "v1 is Index-only");
 
-    handler.publish(v2);
+    handler.store().publish_incremental(&v2);
     s.visit("guitar.html").unwrap();
     s.follow_rel("next").unwrap();
     assert_eq!(s.current_path(), Some("guernica.html"));
