@@ -63,7 +63,7 @@ const C10K_CLIENTS: usize = 2;
 /// c10k: keep-alive sockets per client subprocess.
 const C10K_SOCKETS_PER_CLIENT: usize = 5_100;
 /// c10k: sockets per client that actively send traffic (the rest idle in
-/// keep-alive, exercising the timer wheel and the fd ceiling).
+/// keep-alive, exercising the deadline heap and the fd ceiling).
 const C10K_ACTIVE_PER_CLIENT: usize = 192;
 /// c10k: pipelined requests per burst (== the listener's default
 /// `max_pipeline`, so pause/resume backpressure is exercised too).
@@ -872,10 +872,10 @@ fn main() {
          ({throughput:.0} req/s), {total_shed} shed, final generation {}",
         store.generation()
     );
+    let front = listener.stats();
     println!(
         "wire front end: {} connections accepted, {} requests served over TCP",
-        listener.connections_accepted(),
-        listener.requests_served(),
+        front.accepted, front.requests_served,
     );
 
     // Record every scenario plus the fleet totals.

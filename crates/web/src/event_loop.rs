@@ -1,6 +1,13 @@
 //! Readiness-driven connection multiplexing: a small fixed set of loop
 //! threads, each owning a [`polling::Poller`], a slab of nonblocking
-//! connections, and a timer wheel for idle keep-alive deadlines.
+//! sockets with their [`Conn`] state machines, and a min-heap of idle and
+//! drain deadlines.
+//!
+//! This module is the only code that reads or writes a connection socket:
+//! one read helper and one vectored-write helper handle every
+//! [`io::ErrorKind`] case once, feed what they transfer to the sans-IO
+//! [`Conn`], and act on its outputs (requests to submit, ready output,
+//! interest, close, deadline verdicts).
 //!
 //! Loop 0 additionally owns the accept socket: new connections are
 //! admitted against the hard [`max_connections`](crate::ListenerConfig)
@@ -17,13 +24,15 @@
 //! [`ServerPool::submit`]: crate::server::ServerPool::submit
 //! [`Poller::notify`]: polling::Poller::notify
 
-use crate::conn::{Conn, ConnDirective, ParsedBatch};
+use crate::conn::{Conn, Verdict};
 use crate::http::Response;
 use crate::listener::ListenerShared;
 use crate::server::SHED_HEADER;
 use crate::wire::serialize_response;
 use polling::{Event, Interest, Poller};
-use std::io::{self, Write};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
@@ -33,19 +42,6 @@ use std::time::{Duration, Instant};
 /// Poller key reserved for the accept socket (loop 0 only).
 /// `polling::NOTIFY_KEY` (`usize::MAX`) is reserved by the poller itself.
 const ACCEPT_KEY: usize = usize::MAX - 1;
-
-/// How long a draining loop lets a stalled peer hold its connection open
-/// before force-closing it.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-
-/// Timer wheel bucket width. Idle timeouts are coarse by design: a
-/// deadline fires at most one granule late, and never wakes the loop per
-/// connection.
-const WHEEL_GRANULARITY: Duration = Duration::from_millis(50);
-
-/// Timer wheel size: deadlines past `WHEEL_SLOTS * GRANULARITY` (~12.8s)
-/// clamp to the last bucket and cascade on revalidation.
-const WHEEL_SLOTS: usize = 256;
 
 /// Cross-thread message box for one event loop. Pushing wakes the loop.
 pub(crate) struct Mailbox {
@@ -87,67 +83,73 @@ impl Mailbox {
     }
 }
 
-/// A hashed timer wheel: O(1) schedule, one scan per wait to find the next
-/// deadline, zero per-connection wakeups. Entries are lazily cancelled —
-/// the loop revalidates `(slot, conn_id)` against the live connection's
-/// actual deadline when a bucket fires, so bumping a deadline is just a
-/// field write.
-struct TimerWheel {
-    buckets: Vec<Vec<(usize, u64)>>,
-    cursor: usize,
-    /// Start of the cursor bucket's time span.
-    cursor_time: Instant,
-    len: usize,
+/// Idle and drain deadlines, soonest first: `(when, slot, conn_id)`.
+/// Entries are cancelled lazily: a due entry is revalidated against the
+/// connection now at `slot` ([`Conn::on_deadline`]), so activity that
+/// moves a deadline is a field write, not a heap update.
+type Deadlines = BinaryHeap<Reverse<(Instant, usize, u64)>>;
+
+/// Time until the soonest deadline, or `None` when none is pending (the
+/// wait then blocks until a notify).
+fn next_timeout(deadlines: &Deadlines, now: Instant) -> Option<Duration> {
+    deadlines
+        .peek()
+        .map(|Reverse((at, _, _))| at.saturating_duration_since(now))
 }
 
-impl TimerWheel {
-    fn new(now: Instant) -> TimerWheel {
-        TimerWheel {
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            cursor_time: now,
-            len: 0,
-        }
+/// Pops the soonest entry if it is due at `now`.
+fn pop_due(deadlines: &mut Deadlines, now: Instant) -> Option<(usize, u64)> {
+    match deadlines.peek() {
+        Some(Reverse((at, _, _))) if *at <= now => deadlines
+            .pop()
+            .map(|Reverse((_, slot, conn_id))| (slot, conn_id)),
+        _ => None,
     }
+}
 
-    fn schedule(&mut self, now: Instant, deadline: Instant, slot: usize, conn_id: u64) {
-        if self.len == 0 {
-            // Nothing pending: resync so a long idle stretch does not
-            // leave the cursor far in the past.
-            self.cursor_time = now;
-        }
-        let offset = deadline.saturating_duration_since(self.cursor_time);
-        let ticks = (offset.as_millis() / WHEEL_GRANULARITY.as_millis()) as usize;
-        let bucket = (self.cursor + ticks.min(WHEEL_SLOTS - 1)) % WHEEL_SLOTS;
-        self.buckets[bucket].push((slot, conn_id));
-        self.len += 1;
-    }
-
-    /// Advances the cursor through every bucket whose span has fully
-    /// passed, appending their entries (which the caller revalidates).
-    fn expire(&mut self, now: Instant, out: &mut Vec<(usize, u64)>) {
-        while now.saturating_duration_since(self.cursor_time) >= WHEEL_GRANULARITY {
-            self.len -= self.buckets[self.cursor].len();
-            out.append(&mut self.buckets[self.cursor]);
-            self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
-            self.cursor_time += WHEEL_GRANULARITY;
-        }
-    }
-
-    /// Time until the nearest non-empty bucket fires, or `None` when no
-    /// timers are pending (the wait then blocks until a notify).
-    fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        for i in 0..WHEEL_SLOTS {
-            let bucket = (self.cursor + i) % WHEEL_SLOTS;
-            if !self.buckets[bucket].is_empty() {
-                let fire_at = self.cursor_time + WHEEL_GRANULARITY * (i as u32 + 1);
-                return Some(fire_at.saturating_duration_since(now));
+/// Reads until the socket runs dry, feeding each chunk to `conn`; a 0-byte
+/// read is the peer's EOF. `Err` is a transport failure: nothing to
+/// answer, nothing left to flush to a broken peer.
+fn read_ready(stream: &mut TcpStream, conn: &mut Conn, now: Instant) -> io::Result<()> {
+    let mut buf = [0u8; 16 * 1024];
+    loop {
+        match stream.read(&mut buf) {
+            Ok(0) => {
+                conn.on_eof();
+                return Ok(());
             }
+            Ok(n) => {
+                conn.on_bytes(&buf[..n], now);
+                // A short read emptied the socket: skip the read that
+                // would only report `WouldBlock`.
+                if n < buf.len() {
+                    return Ok(());
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) => return Err(e),
         }
-        None
+    }
+}
+
+/// Writes `conn`'s ready output until it is gone or the socket is full:
+/// consecutive ready responses go out in one vectored write, and a short
+/// write resumes where it stopped. `Err` is a transport failure.
+fn write_ready(stream: &mut TcpStream, conn: &mut Conn, now: Instant) -> io::Result<()> {
+    loop {
+        let ready = conn.ready_output();
+        if ready.is_empty() {
+            return Ok(());
+        }
+        let written = match stream.write_vectored(&ready) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+            Err(e) => return Err(e),
+        };
+        conn.on_written(written, now);
     }
 }
 
@@ -161,10 +163,10 @@ pub(crate) struct EventLoop {
     /// The accept socket (loop 0 only), nonblocking, registered under
     /// [`ACCEPT_KEY`].
     listener: Option<TcpListener>,
-    conns: Vec<Option<Conn>>,
+    conns: Vec<Option<(TcpStream, Conn)>>,
     free: Vec<usize>,
     live: usize,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
     draining: bool,
     next_rr: usize,
 }
@@ -192,18 +194,18 @@ impl EventLoop {
             conns: Vec::new(),
             free: Vec::new(),
             live: 0,
-            wheel: TimerWheel::new(Instant::now()),
+            deadlines: Deadlines::new(),
             draining: false,
             next_rr: 0,
         })
     }
 
-    /// The loop body: wait for readiness/notify/timers, then service the
-    /// mailbox, socket events, and expired deadlines. Exits when draining
+    /// The loop body: wait for readiness/notify/deadlines, then service
+    /// the mailbox, socket events, and due deadlines. Exits when draining
     /// and the last connection is gone.
     pub(crate) fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
-        let mut expired: Vec<(usize, u64)> = Vec::new();
+        let mut due: Vec<(usize, u64)> = Vec::new();
         loop {
             if self.shared.stop.load(Ordering::SeqCst) && !self.draining {
                 self.begin_drain();
@@ -211,7 +213,7 @@ impl EventLoop {
             if self.draining && self.live == 0 {
                 break;
             }
-            let timeout = self.wheel.next_timeout(Instant::now());
+            let timeout = next_timeout(&self.deadlines, Instant::now());
             events.clear();
             if self.mailbox.poller.wait(&mut events, timeout).is_err() {
                 // A broken poller is unrecoverable; drop every connection
@@ -229,18 +231,21 @@ impl EventLoop {
                     } => self.on_reply(slot, conn_id, seq, response),
                 }
             }
-            for i in 0..events.len() {
-                let event = events[i];
+            for &event in &events {
                 if event.key == ACCEPT_KEY {
                     self.accept_burst();
                 } else {
                     self.on_socket_event(event);
                 }
             }
-            expired.clear();
-            self.wheel.expire(Instant::now(), &mut expired);
-            for (slot, conn_id) in expired.drain(..) {
-                self.on_deadline(slot, conn_id);
+            // Collect first: an entry re-armed below may already be due
+            // again, and belongs to the next pass.
+            let now = Instant::now();
+            while let Some(entry) = pop_due(&mut self.deadlines, now) {
+                due.push(entry);
+            }
+            for (slot, conn_id) in due.drain(..) {
+                self.on_deadline(slot, conn_id, now);
             }
         }
         self.teardown();
@@ -319,150 +324,115 @@ impl EventLoop {
                 self.conns.len() - 1
             }
         };
-        let now = Instant::now();
-        let mut conn = Conn::new(stream, id, self.shared.limits, now);
-        conn.idle_deadline = now + self.shared.keep_alive_timeout;
         if self
             .mailbox
             .poller
-            .add(conn.stream.as_raw_fd(), slot, Interest::READABLE)
+            .add(stream.as_raw_fd(), slot, Interest::READABLE)
             .is_err()
         {
             self.free.push(slot);
             self.shared.open_now.fetch_sub(1, Ordering::SeqCst);
             return;
         }
-        self.wheel.schedule(now, conn.idle_deadline, slot, id);
-        self.conns[slot] = Some(conn);
+        let conn = Conn::new(
+            id,
+            self.shared.limits,
+            self.shared.max_pipeline,
+            self.shared.keep_alive_timeout,
+            Instant::now(),
+        );
+        self.deadlines.push(Reverse((conn.deadline(), slot, id)));
+        self.conns[slot] = Some((stream, conn));
         self.live += 1;
+    }
+
+    /// The connection at `slot`, if it is still `conn_id`'s.
+    fn conn_mut(&mut self, slot: usize, conn_id: u64) -> Option<&mut Conn> {
+        match self.conns.get_mut(slot) {
+            Some(Some((_, conn))) if conn.id == conn_id => Some(conn),
+            _ => None,
+        }
     }
 
     /// A pool completion: install the response (staleness-guarded by
     /// `conn_id`), then try to push bytes out immediately.
     fn on_reply(&mut self, slot: usize, conn_id: u64, seq: u64, response: Response) {
-        // Counted unconditionally: the pool answered, matching the
-        // blocking path's accounting even if the peer vanished meanwhile.
+        // Counted unconditionally: the pool answered, even if the peer
+        // vanished meanwhile.
         self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.id != conn_id {
-            return;
+        if let Some(conn) = self.conn_mut(slot, conn_id) {
+            conn.on_reply(seq, &response);
+            self.settle(slot);
         }
-        conn.on_reply(seq, &response);
-        self.settle(slot);
     }
 
     /// A readiness event on a connection socket.
     fn on_socket_event(&mut self, event: Event) {
         let slot = event.key;
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(Some((stream, conn))) = self.conns.get_mut(slot) else {
             return;
         };
-        if event.readable && conn.interest().readable {
-            let now = Instant::now();
-            let batch = conn.on_readable(
-                self.shared.max_pipeline,
-                self.draining,
-                now,
-                self.shared.keep_alive_timeout,
-            );
-            if self.dispatch(slot, batch) == ConnDirective::Close {
-                self.close(slot);
-                return;
-            }
+        if event.readable
+            && conn.interest().readable
+            && read_ready(stream, conn, Instant::now()).is_err()
+        {
+            self.close(slot);
+            return;
         }
         self.settle(slot);
     }
 
-    /// Accounts a parsed batch and submits its requests to the pool, each
-    /// completion routed back to this loop's mailbox.
-    fn dispatch(&mut self, slot: usize, batch: ParsedBatch) -> ConnDirective {
-        if batch.bad_request {
-            self.shared.bad_requests.fetch_add(1, Ordering::SeqCst);
-        }
-        if batch.answered_bad_request {
-            self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
-        }
-        let conn_id = match self.conns.get(slot).and_then(Option::as_ref) {
-            Some(conn) => conn.id,
-            None => return ConnDirective::Close,
-        };
-        for (seq, request) in batch.requests {
-            let mailbox = Arc::clone(&self.mailbox);
-            self.shared
-                .pool
-                .submit(request.to_request(), move |response| {
-                    mailbox.push(Msg::Reply {
-                        slot,
-                        conn_id,
-                        seq,
-                        response,
-                    });
-                });
-        }
-        batch.directive
-    }
-
-    /// Flushes queued output, resumes parsing if a pipeline-full pause
-    /// lifted, and re-arms the poller with the connection's current
-    /// interest. Closes on flush completion of a closing connection.
+    /// Flushes ready output, submits every request the connection can
+    /// admit (a flush may have lifted a pipeline-full pause), then either
+    /// closes the connection or re-arms the poller with its interest.
     fn settle(&mut self, slot: usize) {
-        loop {
-            let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-                return;
-            };
-            let now = Instant::now();
-            if conn.flush(now, self.shared.keep_alive_timeout) == ConnDirective::Close {
-                self.close(slot);
-                return;
-            }
-            let batch = conn.resume(self.shared.max_pipeline, self.draining);
-            let progressed = !batch.requests.is_empty() || batch.answered_bad_request;
-            if self.dispatch(slot, batch) == ConnDirective::Close {
-                self.close(slot);
-                return;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
+        let Some(Some((stream, conn))) = self.conns.get_mut(slot) else {
             return;
         };
-        let interest = conn.interest();
-        let _ = self
-            .mailbox
-            .poller
-            .modify(conn.stream.as_raw_fd(), slot, interest);
-    }
-
-    /// A timer bucket fired for `(slot, conn_id)`: revalidate lazily.
-    fn on_deadline(&mut self, slot: usize, conn_id: u64) {
-        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.id != conn_id {
-            return;
-        }
         let now = Instant::now();
-        if now < conn.idle_deadline {
-            // Activity pushed the deadline out since this entry was
-            // scheduled: re-arm at the real deadline.
-            let deadline = conn.idle_deadline;
-            self.wheel.schedule(now, deadline, slot, conn_id);
-            return;
+        let mut failed = write_ready(stream, conn, now).is_err();
+        if !failed {
+            let batch = conn.take_requests();
+            let conn_id = conn.id;
+            for (seq, request) in batch.requests {
+                let mailbox = Arc::clone(&self.mailbox);
+                self.shared
+                    .pool
+                    .submit(request.to_request(), move |response| {
+                        mailbox.push(Msg::Reply {
+                            slot,
+                            conn_id,
+                            seq,
+                            response,
+                        });
+                    });
+            }
+            if batch.bad_request {
+                self.shared.bad_requests.fetch_add(1, Ordering::SeqCst);
+                self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
+                // Its queued 400 is the one output extraction makes.
+                failed = write_ready(stream, conn, now).is_err();
+            }
         }
-        if conn.is_idle() || self.draining {
-            // Idle past its keep-alive deadline (or out of drain grace):
-            // reap it.
+        if failed || conn.wants_close() {
             self.close(slot);
         } else {
-            // Busy: requests are in flight or mid-parse. The deadline
-            // extends — only *idle* connections are reaped.
-            let deadline = now + self.shared.keep_alive_timeout;
-            conn.idle_deadline = deadline;
-            self.wheel.schedule(now, deadline, slot, conn_id);
+            let _ = self
+                .mailbox
+                .poller
+                .modify(stream.as_raw_fd(), slot, conn.interest());
+        }
+    }
+
+    /// A deadline came due for `(slot, conn_id)`: let the connection
+    /// decide whether it closes or when to check again.
+    fn on_deadline(&mut self, slot: usize, conn_id: u64, now: Instant) {
+        let Some(conn) = self.conn_mut(slot, conn_id) else {
+            return;
+        };
+        match conn.on_deadline(now) {
+            Verdict::Close => self.close(slot),
+            Verdict::Rearm(at) => self.deadlines.push(Reverse((at, slot, conn_id))),
         }
     }
 
@@ -474,27 +444,21 @@ impl EventLoop {
             let _ = self.mailbox.poller.delete(listener.as_raw_fd());
         }
         let now = Instant::now();
-        let grace = now + DRAIN_GRACE;
         for slot in 0..self.conns.len() {
-            let Some(conn) = self.conns[slot].as_mut() else {
+            let Some(Some((_, conn))) = self.conns.get_mut(slot) else {
                 continue;
             };
-            if conn.is_idle() {
-                self.close(slot);
-            } else {
-                let conn_id = conn.id;
-                conn.begin_drain(grace);
-                self.wheel.schedule(now, grace, slot, conn_id);
-                self.settle(slot);
-            }
+            conn.begin_drain(now);
+            self.deadlines
+                .push(Reverse((conn.deadline(), slot, conn.id)));
+            self.settle(slot);
         }
     }
 
     /// Deregisters and drops the connection, freeing its slot.
     fn close(&mut self, slot: usize) {
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::take) {
-            let _ = self.mailbox.poller.delete(conn.stream.as_raw_fd());
-            drop(conn);
+        if let Some((stream, _)) = self.conns.get_mut(slot).and_then(Option::take) {
+            let _ = self.mailbox.poller.delete(stream.as_raw_fd());
             self.free.push(slot);
             self.live -= 1;
             self.shared.open_now.fetch_sub(1, Ordering::SeqCst);
@@ -508,5 +472,70 @@ impl EventLoop {
         for slot in 0..self.conns.len() {
             self.close(slot);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deadlines_fire_exactly_and_in_order() {
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        let mut deadlines = Deadlines::new();
+        assert_eq!(next_timeout(&deadlines, t0), None);
+        deadlines.push(Reverse((t0 + ms(300), 1, 10)));
+        deadlines.push(Reverse((t0 + ms(100), 2, 20)));
+        // Two minutes out (perfbench's keep-alive): no clamp, no early
+        // re-fire.
+        deadlines.push(Reverse((t0 + Duration::from_secs(120), 3, 30)));
+        assert_eq!(next_timeout(&deadlines, t0), Some(ms(100)));
+        assert_eq!(pop_due(&mut deadlines, t0 + ms(99)), None);
+        assert_eq!(pop_due(&mut deadlines, t0 + ms(100)), Some((2, 20)));
+        assert_eq!(pop_due(&mut deadlines, t0 + ms(100)), None);
+        assert_eq!(next_timeout(&deadlines, t0 + ms(100)), Some(ms(200)));
+        assert_eq!(pop_due(&mut deadlines, t0 + ms(300)), Some((1, 10)));
+        assert_eq!(
+            next_timeout(&deadlines, t0 + ms(300)),
+            Some(Duration::from_secs(120) - ms(300))
+        );
+        assert_eq!(pop_due(&mut deadlines, t0 + Duration::from_secs(119)), None);
+        // A late wakeup pops what is due, and the wait after an overdue
+        // entry is zero, not negative.
+        assert_eq!(
+            next_timeout(&deadlines, t0 + Duration::from_secs(121)),
+            Some(Duration::ZERO)
+        );
+        assert_eq!(
+            pop_due(&mut deadlines, t0 + Duration::from_secs(121)),
+            Some((3, 30))
+        );
+        assert_eq!(next_timeout(&deadlines, t0), None);
+    }
+
+    #[test]
+    fn a_rearmed_entry_is_checked_again_at_the_conn_deadline() {
+        let t0 = Instant::now();
+        let keep_alive = Duration::from_secs(5);
+        let mut conn = Conn::new(9, Default::default(), 4, keep_alive, t0);
+        let mut deadlines = Deadlines::new();
+        deadlines.push(Reverse((conn.deadline(), 0, conn.id)));
+        // Activity after scheduling bumps the conn, not the heap.
+        let t1 = t0 + Duration::from_secs(2);
+        conn.on_bytes(b"GET /a.xml HT", t1);
+        let first = t0 + keep_alive;
+        assert_eq!(next_timeout(&deadlines, t0), Some(keep_alive));
+        assert_eq!(pop_due(&mut deadlines, first), Some((0, 9)));
+        let Verdict::Rearm(at) = conn.on_deadline(first) else {
+            panic!("a bumped deadline re-arms");
+        };
+        assert_eq!(at, t1 + keep_alive);
+        deadlines.push(Reverse((at, 0, conn.id)));
+        assert_eq!(
+            next_timeout(&deadlines, first),
+            Some(t1 + keep_alive - first)
+        );
+        assert_eq!(pop_due(&mut deadlines, at), Some((0, 9)));
     }
 }

@@ -4,9 +4,12 @@
 //!
 //! [`HttpListener::bind`] owns a [`ServerPool`] over any [`Handler`] and
 //! [`ListenerConfig::loops`] event loops (the crate-private `event_loop`
-//! module). Loop 0 owns the nonblocking accept
-//! socket; admitted connections are round-robin assigned across loops,
-//! each held as a per-connection state machine: the resumable
+//! module). Loop 0 owns the nonblocking accept socket; admitted
+//! connections are round-robin assigned across loops. Each loop is the
+//! only code touching its sockets: it reads and writes them and drives,
+//! per connection, a sans-IO state machine (the crate-private `conn`
+//! module) that turns received bytes into requests and pool answers into
+//! ordered output. The resumable
 //! [`wire::RequestParser`](crate::wire::RequestParser) accumulates bytes
 //! across readiness events, complete requests are submitted through the
 //! pool's **non-blocking** [`ServerPool::submit`] — so queue-full/deadline
@@ -23,8 +26,9 @@
 //! [`ListenerConfig::max_connections`] open sockets, new arrivals are
 //! *shed* — best-effort 503 (`x-navsep-shed: connections-full`), then
 //! close — never queued. Established connections idle longer than
-//! [`ListenerConfig::keep_alive_timeout`] are reaped by each loop's timer
-//! wheel; connections with requests in flight are never idle-reaped.
+//! [`ListenerConfig::keep_alive_timeout`] are reaped at their deadline,
+//! kept in each loop's min-heap; connections with requests in flight are
+//! never idle-reaped.
 //! [`HttpListener::stats`] exposes the resulting counters.
 //!
 //! ## Drain contract
@@ -234,21 +238,6 @@ impl HttpListener {
         }
     }
 
-    /// Connections admitted since bind.
-    pub fn connections_accepted(&self) -> u64 {
-        self.shared.connections_accepted.load(Ordering::SeqCst)
-    }
-
-    /// Requests answered over the wire (including 400s and sheds).
-    pub fn requests_served(&self) -> u64 {
-        self.shared.requests_served.load(Ordering::SeqCst)
-    }
-
-    /// Malformed requests answered with a 400 (or dropped mid-line).
-    pub fn bad_requests(&self) -> u64 {
-        self.shared.bad_requests.load(Ordering::SeqCst)
-    }
-
     /// Requests the owned pool shed with a 503.
     pub fn requests_shed(&self) -> u64 {
         self.shared.pool.requests_shed() + self.shared.pool.requests_timed_out()
@@ -333,7 +322,7 @@ mod tests {
         let response = roundtrip(&listener, b"GET /a.xml HTTP/1.1\r\n\r\n", false);
         assert_eq!(response.status, 200);
         assert!(String::from_utf8_lossy(&response.body).contains("<a>hello</a>"));
-        assert_eq!(listener.requests_served(), 1);
+        assert_eq!(listener.stats().requests_served, 1);
         listener.shutdown();
     }
 
@@ -356,8 +345,8 @@ mod tests {
         let last = read_response(&mut reader, false).unwrap();
         assert_eq!(last.status, 200);
         assert_eq!(last.header_value("connection"), Some("close"));
-        assert_eq!(listener.connections_accepted(), 1);
-        assert_eq!(listener.requests_served(), 4);
+        assert_eq!(listener.stats().accepted, 1);
+        assert_eq!(listener.stats().requests_served, 4);
         listener.shutdown();
     }
 
@@ -367,7 +356,7 @@ mod tests {
         let response = roundtrip(&listener, b"total garbage\r\n\r\n", false);
         assert_eq!(response.status, 400);
         assert_eq!(response.header_value("connection"), Some("close"));
-        assert_eq!(listener.bad_requests(), 1);
+        assert_eq!(listener.stats().bad_requests, 1);
         // The listener survives: a well-formed request still works.
         let ok = roundtrip(&listener, b"GET /a.xml HTTP/1.1\r\n\r\n", false);
         assert_eq!(ok.status, 200);
@@ -458,8 +447,8 @@ mod tests {
         let third = read_response(&mut reader, false).unwrap();
         assert_eq!(third.status, 200);
         assert_eq!(third.header_value("connection"), Some("close"));
-        assert_eq!(listener.connections_accepted(), 1);
-        assert_eq!(listener.requests_served(), 3);
+        assert_eq!(listener.stats().accepted, 1);
+        assert_eq!(listener.stats().requests_served, 3);
         listener.shutdown();
     }
 

@@ -31,8 +31,7 @@
 //! against in-process handler calls byte for byte.
 
 use crate::http::{Method, Request, Response};
-use std::io::{self, BufRead, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufRead};
 
 /// Hard bounds the parser enforces before allocating.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,8 +63,6 @@ pub enum WireError {
     /// Clean EOF at a request boundary — the client is done; close
     /// silently.
     Closed,
-    /// The listener is draining; stop reading and close.
-    ShuttingDown,
     /// EOF or I/O failure mid-request (including a body shorter than its
     /// `content-length`).
     Truncated,
@@ -88,7 +85,8 @@ pub enum WireError {
     UnsupportedTransferEncoding,
     /// A body larger than [`WireLimits::max_body`].
     BodyTooLarge(u64),
-    /// An I/O error outside EOF handling.
+    /// An I/O error other than an interrupted read (a read timeout
+    /// included).
     Io(io::ErrorKind),
 }
 
@@ -96,7 +94,6 @@ impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WireError::Closed => write!(f, "connection closed"),
-            WireError::ShuttingDown => write!(f, "listener shutting down"),
             WireError::Truncated => write!(f, "request truncated"),
             WireError::BadRequestLine(line) => write!(f, "malformed request line: {line:?}"),
             WireError::BadVersion(version) => write!(f, "unsupported version: {version:?}"),
@@ -117,11 +114,11 @@ impl std::error::Error for WireError {}
 
 impl WireError {
     /// The response to write before closing the connection, if any: a 400
-    /// for malformed requests, nothing for clean closes, shutdown, and
-    /// transport-level failures (there is no one left to read it).
+    /// for malformed requests, nothing for clean closes and transport-level
+    /// failures (there is no one left to read it).
     pub fn response(&self) -> Option<Response> {
         match self {
-            WireError::Closed | WireError::ShuttingDown | WireError::Io(_) => None,
+            WireError::Closed | WireError::Io(_) => None,
             WireError::Truncated => Some(Response::bad_request("truncated request")),
             other => Some(Response::bad_request(&other.to_string())),
         }
@@ -192,7 +189,7 @@ impl WireRequest {
 }
 
 /// A resumable, push-based HTTP/1.1 request parser — the single grammar
-/// behind both the blocking [`read_request_with`] path and the event-loop
+/// behind both the blocking [`read_request`] and the event-loop
 /// listener's readiness-driven connections.
 ///
 /// Feed bytes in with [`push`](RequestParser::push) as they arrive (any
@@ -481,27 +478,13 @@ fn parse_request_line(line: &[u8]) -> Result<(Method, String, bool), WireError> 
 
 /// Reads one line up to `limit` bytes, tolerating both CRLF and bare LF.
 /// `Ok(None)` is a clean EOF **before any byte**; EOF mid-line is
-/// [`WireError::Truncated`]. A read timeout checks `stop` and otherwise
-/// retries, so an idle keep-alive connection can notice a draining
-/// listener without losing parse state.
-fn read_line(
-    reader: &mut impl BufRead,
-    limit: usize,
-    stop: &AtomicBool,
-) -> Result<Option<Vec<u8>>, WireError> {
+/// [`WireError::Truncated`].
+fn read_line(reader: &mut impl BufRead, limit: usize) -> Result<Option<Vec<u8>>, WireError> {
     let mut line: Vec<u8> = Vec::new();
     loop {
         let available = match reader.fill_buf() {
             Ok(buf) => buf,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(WireError::ShuttingDown);
-                }
-                continue;
-            }
             Err(e) => return Err(WireError::Io(e.kind())),
         };
         if available.is_empty() {
@@ -534,13 +517,8 @@ fn read_line(
 }
 
 /// Reads exactly `len` body bytes; EOF short of `len` is
-/// [`WireError::Truncated`]. Timeouts mid-body check `stop` like
-/// [`read_line`].
-fn read_body(
-    reader: &mut impl BufRead,
-    len: usize,
-    stop: &AtomicBool,
-) -> Result<Vec<u8>, WireError> {
+/// [`WireError::Truncated`].
+fn read_body(reader: &mut impl BufRead, len: usize) -> Result<Vec<u8>, WireError> {
     let mut body = vec![0u8; len];
     let mut filled = 0;
     while filled < len {
@@ -548,14 +526,6 @@ fn read_body(
             Ok(0) => return Err(WireError::Truncated),
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(WireError::ShuttingDown);
-                }
-                continue;
-            }
             Err(e) => return Err(WireError::Io(e.kind())),
         }
     }
@@ -582,34 +552,20 @@ fn parse_header(line: &[u8]) -> Result<(String, String), WireError> {
     Ok((name.to_ascii_lowercase(), value.trim().to_string()))
 }
 
-/// Reads and validates one request with [`WireLimits::default`] and no
-/// shutdown flag — the plain entry point for tests and simple callers.
+/// Reads one request with [`WireLimits::default`]: request line,
+/// headers, `content-length`-framed body.
+///
+/// A thin blocking wrapper over [`RequestParser`] — the blocking reader and
+/// the event-loop connections parse with the same resumable grammar, so
+/// their acceptance and error behavior are identical by construction.
 pub fn read_request(reader: &mut impl BufRead) -> Result<WireRequest, WireError> {
-    read_request_with(reader, &WireLimits::default(), &AtomicBool::new(false))
-}
-
-/// Reads one request: request line, headers, `content-length`-framed body.
-///
-/// A thin blocking wrapper over [`RequestParser`] — both the blocking and
-/// the event-loop paths parse with the same resumable grammar, so their
-/// acceptance and error behavior are identical by construction.
-///
-/// `stop` is consulted whenever the underlying reader reports a timeout
-/// (`WouldBlock`/`TimedOut`), so a caller can abandon an idle read during
-/// shutdown: parse state is kept across retries, a half-read request is
-/// never silently restarted.
-pub fn read_request_with(
-    reader: &mut impl BufRead,
-    limits: &WireLimits,
-    stop: &AtomicBool,
-) -> Result<WireRequest, WireError> {
-    let mut parser = RequestParser::new(*limits);
+    let mut parser = RequestParser::default();
     loop {
         if let Some(request) = parser.next_request()? {
             return Ok(request);
         }
         let chunk_len = match reader.fill_buf() {
-            Ok(chunk) if chunk.is_empty() => {
+            Ok([]) => {
                 // EOF: clean at a request boundary, truncation mid-request.
                 return Err(if parser.is_idle() {
                     WireError::Closed
@@ -622,14 +578,6 @@ pub fn read_request_with(
                 chunk.len()
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(WireError::ShuttingDown);
-                }
-                continue;
-            }
             Err(e) => return Err(WireError::Io(e.kind())),
         };
         reader.consume(chunk_len);
@@ -659,17 +607,6 @@ pub fn serialize_response(response: &Response, head: bool, keep_alive: bool) -> 
         out.extend_from_slice(response.body());
     }
     out
-}
-
-/// Writes [`serialize_response`]'s bytes to `out` in one call.
-pub fn write_response(
-    out: &mut impl Write,
-    response: &Response,
-    head: bool,
-    keep_alive: bool,
-) -> io::Result<()> {
-    out.write_all(&serialize_response(response, head, keep_alive))?;
-    out.flush()
 }
 
 /// Serializes a [`Request`] as HTTP/1.1 bytes — the client side of the
@@ -718,9 +655,8 @@ impl WireResponse {
 /// Reads one response off the wire. `head` says whether the request was a
 /// HEAD (no body follows regardless of `content-length`).
 pub fn read_response(reader: &mut impl BufRead, head: bool) -> Result<WireResponse, WireError> {
-    let never = AtomicBool::new(false);
     let limits = WireLimits::default();
-    let status_line = match read_line(reader, limits.max_request_line, &never)? {
+    let status_line = match read_line(reader, limits.max_request_line)? {
         None => return Err(WireError::Closed),
         Some(line) => line,
     };
@@ -733,7 +669,7 @@ pub fn read_response(reader: &mut impl BufRead, head: bool) -> Result<WireRespon
     let mut headers = Vec::new();
     let mut content_length = 0u64;
     loop {
-        let line = match read_line(reader, limits.max_header_line, &never)? {
+        let line = match read_line(reader, limits.max_header_line)? {
             None => return Err(WireError::Truncated),
             Some(line) => line,
         };
@@ -751,7 +687,7 @@ pub fn read_response(reader: &mut impl BufRead, head: bool) -> Result<WireRespon
     let body = if head {
         Vec::new()
     } else {
-        read_body(reader, content_length as usize, &never)?
+        read_body(reader, content_length as usize)?
     };
     Ok(WireResponse {
         status,

@@ -143,12 +143,8 @@ fn keep_alive_serves_n_byte_identical_responses_on_one_connection() {
             shape.path(),
         );
     }
-    assert_eq!(
-        listener.connections_accepted(),
-        1,
-        "one socket for all shapes"
-    );
-    assert_eq!(listener.requests_served(), shapes.len() as u64);
+    assert_eq!(listener.stats().accepted, 1, "one socket for all shapes");
+    assert_eq!(listener.stats().requests_served, shapes.len() as u64);
     drop(stream);
     listener.shutdown();
 }
@@ -193,8 +189,8 @@ fn pipelined_requests_in_one_segment_answer_in_order_byte_identically() {
         String::from_utf8_lossy(&got),
         String::from_utf8_lossy(&expected),
     );
-    assert_eq!(listener.connections_accepted(), 1);
-    assert_eq!(listener.requests_served(), shapes.len() as u64);
+    assert_eq!(listener.stats().accepted, 1);
+    assert_eq!(listener.stats().requests_served, shapes.len() as u64);
     listener.shutdown();
 }
 

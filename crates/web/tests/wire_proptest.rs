@@ -2,9 +2,9 @@
 //! request lines, oversized and duplicate headers, and truncated bodies
 //! all produce a clean typed error (a 400 answer or a silent close) —
 //! never a panic, never a misframed request. The resumable-parser laws
-//! additionally pin the event-loop path to the blocking one: feeding a
-//! buffer one byte at a time must produce exactly the same requests and
-//! the same terminal error as parsing it whole.
+//! additionally check segmentation independence: pushing a buffer one
+//! byte at a time must produce exactly the same requests and the same
+//! terminal error as pushing it whole.
 
 use navsep_web::wire::{read_request, serialize_request, RequestParser, WireError, WireLimits};
 use navsep_web::{Method, Request, WireRequest};
