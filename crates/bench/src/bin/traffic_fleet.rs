@@ -34,7 +34,7 @@
 use navsep_bench::{banner, print_table, record_bench_section_in, traffic_json_path};
 use navsep_web::wire::{read_response, serialize_request};
 use navsep_web::{
-    HttpListener, ListenerConfig, PoolConfig, Request, ServerPool, ShardedSiteHandler,
+    Handler, HttpListener, ListenerConfig, PoolConfig, Request, ServerPool, ShardedSiteHandler,
     ShardedSiteStore, Site, AT_GENERATION_HEADER, DEGRADED_HEADER, GENERATION_HEADER,
     IF_GENERATION_HEADER, STALE_HEADER,
 };
@@ -574,6 +574,12 @@ fn c10k_scenario(handler: &Arc<ShardedSiteHandler>, smoke: bool) -> Option<Scena
     let total_sockets = C10K_CLIENTS * C10K_SOCKETS_PER_CLIENT;
     let rounds = if smoke { 4 } else { 24 };
     let baseline_threads = os_thread_count().expect("read /proc/self/status");
+    // Workers the listener actually starts: none for an inline handler.
+    let pool_workers = if handler.never_blocks() {
+        0
+    } else {
+        C10K_WORKERS
+    };
     let listener = HttpListener::bind(
         "127.0.0.1:0",
         Arc::clone(handler),
@@ -624,15 +630,16 @@ fn c10k_scenario(handler: &Arc<ShardedSiteHandler>, smoke: bool) -> Option<Scena
     let concurrent = stats.open_now;
     println!(
         "c10k: {concurrent} sockets open concurrently, {os_threads} OS threads \
-         (baseline {baseline_threads}, {C10K_LOOPS} loops + {C10K_WORKERS} workers)"
+         (baseline {baseline_threads}, {C10K_LOOPS} loops + {pool_workers} pool workers)"
     );
     assert!(
         concurrent >= 10_000,
         "c10k floor: need >=10000 concurrent sockets, listener holds {concurrent}"
     );
     // The whole point: the thread count must not scale with sockets. The
-    // listener adds loops + workers (+ small constant for pool plumbing);
-    // nothing per-connection.
+    // listener adds at most loops + workers (+ a small constant); the site
+    // handler never blocks, so this one answers on its loops and starts no
+    // pool workers at all. Nothing is per-connection.
     assert!(
         os_threads <= baseline_threads + (C10K_LOOPS + C10K_WORKERS) as u64 + 4,
         "thread count must be loops + workers + O(1), not O(connections): \
@@ -695,7 +702,7 @@ fn c10k_scenario(handler: &Arc<ShardedSiteHandler>, smoke: bool) -> Option<Scena
                 ("os_threads", os_threads),
                 ("baseline_threads", baseline_threads),
                 ("loops", C10K_LOOPS as u64),
-                ("pool_workers", C10K_WORKERS as u64),
+                ("pool_workers", pool_workers as u64),
             ],
             latencies_us: latencies,
         }

@@ -7,8 +7,13 @@
 //! finishes them out of order), the write position inside the front slot,
 //! and the connection's deadline.
 //!
+//! A request's answer arrives through the same input whoever produced
+//! it: the pool's reply, some passes later, or an inline handler's answer
+//! in the very pass that extracted the request. The machine cannot tell
+//! the two apart, so one law covers both.
+//!
 //! Its inputs are plain values: bytes received ([`Conn::on_bytes`]), the
-//! peer's EOF ([`Conn::on_eof`]), a pool reply ([`Conn::on_reply`]), a
+//! peer's EOF ([`Conn::on_eof`]), an answer ([`Conn::on_reply`]), a
 //! count of bytes the socket accepted ([`Conn::on_written`]), drain
 //! ([`Conn::begin_drain`]), and the current time, passed in. Its outputs
 //! are the requests to submit ([`Conn::take_requests`]), the contiguous
@@ -38,15 +43,15 @@ pub(crate) enum Verdict {
 }
 
 /// One pipelined exchange: the response slot for the `seq`-th request
-/// parsed off this connection. Slots complete out of order (the pool is
-/// concurrent) but transmit strictly in order.
+/// parsed off this connection. Slots may complete out of order (the pool
+/// is concurrent) but transmit strictly in order.
 struct PipelineSlot {
     seq: u64,
     /// HEAD requests serialize without body bytes.
     head: bool,
     /// Whether the serialized response advertises keep-alive.
     keep_alive: bool,
-    /// The serialized response, once the pool answered.
+    /// The serialized response, once the request is answered.
     bytes: Option<Vec<u8>>,
 }
 
@@ -224,7 +229,7 @@ impl Conn {
         }
     }
 
-    /// Installs the pool's answer for request `seq` and serializes it with
+    /// Installs the answer for request `seq` and serializes it with
     /// the keep-alive/HEAD framing decided at parse time. Unknown `seq`s
     /// (a slot already abandoned) are ignored.
     pub(crate) fn on_reply(&mut self, seq: u64, response: &Response) {
@@ -237,7 +242,7 @@ impl Conn {
 
     /// The contiguous ready prefix of the pipeline, resuming inside the
     /// front slot after a short write. Empty while the front slot still
-    /// awaits its pool answer: responses never overtake request order.
+    /// awaits its answer: responses never overtake request order.
     pub(crate) fn ready_output(&self) -> Vec<IoSlice<'_>> {
         let mut ready = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! This module is the only code that reads or writes a connection socket:
 //! one read helper and one vectored-write helper handle every
 //! [`io::ErrorKind`] case once, feed what they transfer to the sans-IO
-//! [`Conn`], and act on its outputs (requests to submit, ready output,
+//! [`Conn`], and act on its outputs (requests to answer, ready output,
 //! interest, close, deadline verdicts).
 //!
 //! Loop 0 additionally owns the accept socket: new connections are
@@ -15,19 +15,23 @@
 //! listener sheds, it never queues connections) and round-robin assigned
 //! across loops via each loop's [`Mailbox`].
 //!
-//! Pool completions arrive the same way: [`ServerPool::submit`] callbacks
-//! capture the owning loop's mailbox and push a [`Msg::Reply`], waking the
-//! loop through [`Poller::notify`] — no thread ever parks waiting for a
-//! response, so thread count stays `loops + pool workers` no matter how
-//! many sockets are open.
+//! Requests are answered one of two ways, fixed at bind time. A handler
+//! that [never blocks](crate::Handler::never_blocks) answers on the loop
+//! thread that parsed the request, inside [`EventLoop::settle`], under
+//! `catch_unwind`: no cross-thread hop, and a panic answers the pool's
+//! 500. Any other handler is served by the pool: [`ServerPool::submit`]
+//! callbacks capture the owning loop's mailbox and push a [`Msg::Reply`],
+//! waking the loop through [`Poller::notify`]. Either way no thread ever
+//! parks waiting for a response, so thread count stays `loops` (inline)
+//! or `loops + pool workers` no matter how many sockets are open.
 //!
 //! [`ServerPool::submit`]: crate::server::ServerPool::submit
 //! [`Poller::notify`]: polling::Poller::notify
 
 use crate::conn::{Conn, Verdict};
 use crate::http::Response;
-use crate::listener::ListenerShared;
-use crate::server::SHED_HEADER;
+use crate::listener::{Dispatch, ListenerShared};
+use crate::server::{panic_response, SHED_HEADER};
 use crate::wire::serialize_response;
 use polling::{Event, Interest, Poller};
 use std::cmp::Reverse;
@@ -35,6 +39,7 @@ use std::collections::BinaryHeap;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -355,7 +360,8 @@ impl EventLoop {
     }
 
     /// A pool completion: install the response (staleness-guarded by
-    /// `conn_id`), then try to push bytes out immediately.
+    /// `conn_id`), then try to push bytes out immediately. Inline answers
+    /// never pass through here.
     fn on_reply(&mut self, slot: usize, conn_id: u64, seq: u64, response: Response) {
         // Counted unconditionally: the pool answered, even if the peer
         // vanished meanwhile.
@@ -382,38 +388,64 @@ impl EventLoop {
         self.settle(slot);
     }
 
-    /// Flushes ready output, submits every request the connection can
-    /// admit (a flush may have lifted a pipeline-full pause), then either
-    /// closes the connection or re-arms the poller with its interest.
+    /// Flushes ready output and answers every request the connection can
+    /// admit, repeating until neither makes progress, then either closes
+    /// the connection or re-arms the poller with its interest. An inline
+    /// answer is installed at once; once flushed it frees a pipeline slot
+    /// for requests the parser already holds, which no readiness event
+    /// would report — hence the repeat. Pool requests are submitted, and
+    /// their answers come back as [`Msg::Reply`].
     fn settle(&mut self, slot: usize) {
         let Some(Some((stream, conn))) = self.conns.get_mut(slot) else {
             return;
         };
         let now = Instant::now();
-        let mut failed = write_ready(stream, conn, now).is_err();
-        if !failed {
+        let shared = &*self.shared;
+        let failed = loop {
+            if write_ready(stream, conn, now).is_err() {
+                break true;
+            }
             let batch = conn.take_requests();
-            let conn_id = conn.id;
-            for (seq, request) in batch.requests {
-                let mailbox = Arc::clone(&self.mailbox);
-                self.shared
-                    .pool
-                    .submit(request.to_request(), move |response| {
-                        mailbox.push(Msg::Reply {
-                            slot,
-                            conn_id,
-                            seq,
-                            response,
-                        });
-                    });
-            }
             if batch.bad_request {
-                self.shared.bad_requests.fetch_add(1, Ordering::SeqCst);
-                self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
-                // Its queued 400 is the one output extraction makes.
-                failed = write_ready(stream, conn, now).is_err();
+                // Its queued 400 is the one output extraction makes; the
+                // next pass writes it.
+                shared.bad_requests.fetch_add(1, Ordering::SeqCst);
+                shared.requests_served.fetch_add(1, Ordering::SeqCst);
+            } else if batch.requests.is_empty() {
+                break false;
             }
-        }
+            match &shared.dispatch {
+                Dispatch::Inline {
+                    handler,
+                    retry_after_ms,
+                } => {
+                    for (seq, request) in batch.requests {
+                        let request = request.to_request();
+                        let response = catch_unwind(AssertUnwindSafe(|| handler.handle(&request)))
+                            .unwrap_or_else(|_| {
+                                shared.handler_panics.fetch_add(1, Ordering::SeqCst);
+                                panic_response(*retry_after_ms)
+                            });
+                        shared.requests_served.fetch_add(1, Ordering::SeqCst);
+                        conn.on_reply(seq, &response);
+                    }
+                }
+                Dispatch::Pool(pool) => {
+                    let conn_id = conn.id;
+                    for (seq, request) in batch.requests {
+                        let mailbox = Arc::clone(&self.mailbox);
+                        pool.submit(request.to_request(), move |response| {
+                            mailbox.push(Msg::Reply {
+                                slot,
+                                conn_id,
+                                seq,
+                                response,
+                            });
+                        });
+                    }
+                }
+            }
+        };
         if failed || conn.wants_close() {
             self.close(slot);
         } else {

@@ -2,23 +2,34 @@
 //! a small fixed set of event-loop threads instead of a thread per
 //! connection.
 //!
-//! [`HttpListener::bind`] owns a [`ServerPool`] over any [`Handler`] and
-//! [`ListenerConfig::loops`] event loops (the crate-private `event_loop`
-//! module). Loop 0 owns the nonblocking accept socket; admitted
-//! connections are round-robin assigned across loops. Each loop is the
-//! only code touching its sockets: it reads and writes them and drives,
-//! per connection, a sans-IO state machine (the crate-private `conn`
-//! module) that turns received bytes into requests and pool answers into
-//! ordered output. The resumable
-//! [`wire::RequestParser`](crate::wire::RequestParser) accumulates bytes
-//! across readiness events, complete requests are submitted through the
-//! pool's **non-blocking** [`ServerPool::submit`] — so queue-full/deadline
-//! sheds surface on the wire as the same 503 + `x-navsep-retry-after` an
-//! in-process client sees — and completions wake the owning loop to write
-//! the serialized answer back, in request order (HTTP/1.1 pipelining),
+//! [`HttpListener::bind`] runs [`ListenerConfig::loops`] event loops (the
+//! crate-private `event_loop` module) over any [`Handler`]. Loop 0 owns
+//! the nonblocking accept socket; admitted connections are round-robin
+//! assigned across loops. Each loop is the only code touching its
+//! sockets: it reads and writes them and drives, per connection, a
+//! sans-IO state machine (the crate-private `conn` module) that turns
+//! received bytes into requests and answers into ordered output. The
+//! resumable [`wire::RequestParser`](crate::wire::RequestParser)
+//! accumulates bytes across readiness events.
+//!
+//! How a parsed request is answered is decided once, at bind, by
+//! [`Handler::never_blocks`]:
+//!
+//! * **inline** (`true`, e.g. [`ShardedSiteHandler`](crate::ShardedSiteHandler)):
+//!   the loop that parsed the request calls the handler itself, so a
+//!   request crosses no thread. No [`ServerPool`] is started, and a
+//!   handler panic answers the same 500 + `x-navsep-retry-after` the pool
+//!   sends, counted in [`ListenerStats::handler_panics`];
+//! * **pool** (`false`, the default): the listener owns a [`ServerPool`]
+//!   and submits each request through its **non-blocking**
+//!   [`ServerPool::submit`] — so queue-full/deadline sheds surface on the
+//!   wire as the same 503 + `x-navsep-retry-after` an in-process client
+//!   sees — and completions wake the owning loop to write the answer.
+//!
+//! Either way answers go out in request order (HTTP/1.1 pipelining),
 //! vectored and partial-write aware. No thread ever blocks on a socket or
-//! a reply: thread count is `loops + pool workers`, independent of how
-//! many connections are open.
+//! a reply: thread count is `loops` (inline) or `loops + pool workers`,
+//! independent of how many connections are open.
 //!
 //! ## Admission contract
 //!
@@ -36,8 +47,10 @@
 //! [`HttpListener::shutdown`] is graceful and mirrors the pool's own
 //! contract: the accept socket closes, idle keep-alive connections drop
 //! immediately, busy connections finish their in-flight pipeline (under a
-//! grace deadline for stalled peers), and the pool drains last — every
-//! request accepted off the wire is answered before the listener is gone.
+//! grace deadline for stalled peers), and the pool, if there is one,
+//! drains last — every request accepted off the wire is answered before
+//! the listener is gone. An inline listener has nothing in flight between
+//! loop passes, so its busy connections only flush.
 //!
 //! Malformed bytes never kill the process: parse failures answer 400 (when
 //! there is anything to answer) and close that one connection.
@@ -55,7 +68,9 @@ use std::time::Duration;
 /// Sizing knobs for an [`HttpListener`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ListenerConfig {
-    /// Configuration for the owned [`ServerPool`].
+    /// Configuration for the owned [`ServerPool`]. An inline listener (a
+    /// handler that [never blocks](Handler::never_blocks)) starts no pool
+    /// and reads only [`PoolConfig::retry_after`], for its panic 500.
     pub pool: PoolConfig,
     /// Parser bounds applied to every connection.
     pub limits: WireLimits,
@@ -128,11 +143,28 @@ pub struct ListenerStats {
     pub requests_served: u64,
     /// Malformed requests answered with a 400 (or dropped mid-line).
     pub bad_requests: u64,
+    /// Handler panics answered with a 500: on a loop for an inline
+    /// handler, in the pool ([`ServerPool::panics_absorbed`]) otherwise.
+    pub handler_panics: u64,
+}
+
+/// How the loops answer the requests they parse, fixed at bind.
+pub(crate) enum Dispatch {
+    /// The handler never blocks: the loop that parsed a request answers
+    /// it.
+    Inline {
+        handler: Arc<dyn Handler>,
+        /// Advertised on the 500 a handler panic answers with.
+        retry_after_ms: u64,
+    },
+    /// Requests are submitted to the pool; answers return through the
+    /// owning loop's mailbox.
+    Pool(ServerPool),
 }
 
 /// Counters and config shared by every event loop.
 pub(crate) struct ListenerShared {
-    pub(crate) pool: ServerPool,
+    pub(crate) dispatch: Dispatch,
     pub(crate) stop: AtomicBool,
     pub(crate) limits: WireLimits,
     pub(crate) keep_alive_timeout: Duration,
@@ -145,6 +177,8 @@ pub(crate) struct ListenerShared {
     pub(crate) peak_open: AtomicU64,
     pub(crate) requests_served: AtomicU64,
     pub(crate) bad_requests: AtomicU64,
+    /// Panics of an inline handler (the pool counts its own).
+    pub(crate) handler_panics: AtomicU64,
 }
 
 /// A running HTTP front end bound to a local TCP address.
@@ -167,8 +201,9 @@ impl std::fmt::Debug for HttpListener {
 
 impl HttpListener {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// serving `handler` behind a freshly started [`ServerPool`] and
-    /// [`ListenerConfig::loops`] event-loop threads.
+    /// serving `handler` on [`ListenerConfig::loops`] event-loop threads:
+    /// inline when it [never blocks](Handler::never_blocks), behind a
+    /// freshly started [`ServerPool`] otherwise.
     pub fn bind<H: Handler + 'static>(
         addr: &str,
         handler: Arc<H>,
@@ -176,8 +211,16 @@ impl HttpListener {
     ) -> io::Result<HttpListener> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        let dispatch = if handler.never_blocks() {
+            Dispatch::Inline {
+                handler,
+                retry_after_ms: config.pool.retry_after.as_millis() as u64,
+            }
+        } else {
+            Dispatch::Pool(ServerPool::start_with(handler, config.pool))
+        };
         let shared = Arc::new(ListenerShared {
-            pool: ServerPool::start_with(handler, config.pool),
+            dispatch,
             stop: AtomicBool::new(false),
             limits: config.limits,
             keep_alive_timeout: config.keep_alive_timeout,
@@ -190,6 +233,7 @@ impl HttpListener {
             peak_open: AtomicU64::new(0),
             requests_served: AtomicU64::new(0),
             bad_requests: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
         });
         let loop_count = config.loops.max(1);
         let mut mailboxes = Vec::with_capacity(loop_count);
@@ -235,12 +279,23 @@ impl HttpListener {
             peak_open: self.shared.peak_open.load(Ordering::SeqCst),
             requests_served: self.shared.requests_served.load(Ordering::SeqCst),
             bad_requests: self.shared.bad_requests.load(Ordering::SeqCst),
+            handler_panics: self.shared.handler_panics.load(Ordering::SeqCst)
+                + self.pool().map_or(0, ServerPool::panics_absorbed),
         }
     }
 
-    /// Requests the owned pool shed with a 503.
+    /// Requests the owned pool shed with a 503; always 0 for an inline
+    /// listener, which has no queue to shed from.
     pub fn requests_shed(&self) -> u64 {
-        self.shared.pool.requests_shed() + self.shared.pool.requests_timed_out()
+        self.pool()
+            .map_or(0, |pool| pool.requests_shed() + pool.requests_timed_out())
+    }
+
+    fn pool(&self) -> Option<&ServerPool> {
+        match &self.shared.dispatch {
+            Dispatch::Pool(pool) => Some(pool),
+            Dispatch::Inline { .. } => None,
+        }
     }
 
     /// Gracefully stops: no new connections, in-flight requests answered,
@@ -272,12 +327,16 @@ impl Drop for HttpListener {
 mod tests {
     use super::*;
     use crate::http::{Request, Response};
+    use crate::server::{panic_response, RETRY_AFTER_HEADER, SHED_HEADER};
     use crate::site::Site;
     use crate::testing::serve;
-    use crate::wire::read_response;
+    use crate::wire::{read_response, serialize_response};
+    use crate::ShardedSiteHandler;
     use navsep_xml::Document;
     use std::io::{BufReader, Read, Write};
     use std::net::TcpStream;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Condvar, Mutex};
     use std::time::Instant;
 
     fn site() -> Site {
@@ -533,6 +592,203 @@ mod tests {
         assert!(wait_until(|| listener.stats().open_now < 2));
         let replacement = roundtrip(&listener, b"GET /a.xml HTTP/1.1\r\n\r\n", false);
         assert_eq!(replacement.status, 200);
+        listener.shutdown();
+    }
+
+    /// The site handler, except that `/boom` panics; inline or pooled as
+    /// `never_blocks` says.
+    struct Panicky {
+        inner: ShardedSiteHandler,
+        never_blocks: bool,
+    }
+
+    impl Handler for Panicky {
+        fn handle(&self, request: &Request) -> Response {
+            if request.path() == "/boom" {
+                panic!("handler panic at /boom");
+            }
+            self.inner.handle(request)
+        }
+
+        fn never_blocks(&self) -> bool {
+            self.never_blocks
+        }
+    }
+
+    fn panicky(never_blocks: bool) -> HttpListener {
+        let handler = Panicky {
+            inner: serve(&site()),
+            never_blocks,
+        };
+        HttpListener::bind("127.0.0.1:0", Arc::new(handler), ListenerConfig::new(2)).unwrap()
+    }
+
+    #[test]
+    fn an_inline_handler_panic_answers_the_pools_500_and_the_connection_lives_on() {
+        // The bytes the pool sends for a panicking handler (keep-alive,
+        // the default 50 ms retry-after).
+        let expected = serialize_response(&panic_response(50), false, true);
+        let inline = panicky(true);
+        let pooled = panicky(false);
+        for listener in [&inline, &pooled] {
+            let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+            stream.write_all(b"GET /boom HTTP/1.1\r\n\r\n").unwrap();
+            let mut answer = vec![0; expected.len()];
+            stream.read_exact(&mut answer).unwrap();
+            assert_eq!(
+                String::from_utf8_lossy(&answer),
+                String::from_utf8_lossy(&expected)
+            );
+            // The same connection serves the next request.
+            stream
+                .write_all(b"GET /a.xml HTTP/1.1\r\nconnection: close\r\n\r\n")
+                .unwrap();
+            let next = read_response(&mut BufReader::new(stream), false).unwrap();
+            assert_eq!(next.status, 200);
+            assert!(String::from_utf8_lossy(&next.body).contains("<a>hello</a>"));
+            assert_eq!(listener.stats().handler_panics, 1);
+        }
+        let stats = inline.stats();
+        assert_eq!(stats.requests_served, 2, "each inline answer counts once");
+        assert_eq!(inline.requests_shed(), 0, "an inline listener has no queue");
+        inline.shutdown();
+        pooled.shutdown();
+    }
+
+    #[test]
+    fn inline_answers_refill_a_full_pipeline_from_buffered_requests() {
+        // One segment of eight requests against a one-deep pipeline: each
+        // inline answer frees the only slot, and the requests still in
+        // the parser raise no readiness event of their own.
+        let listener = HttpListener::bind(
+            "127.0.0.1:0",
+            Arc::new(serve(&site())),
+            ListenerConfig::new(2).max_pipeline(1),
+        )
+        .unwrap();
+        let paths = ["/a.xml", "/ghost.xml", "/style.css", "/a.xml"];
+        let mut raw = Vec::new();
+        for i in 0..8 {
+            let close = if i == 7 { "connection: close\r\n" } else { "" };
+            raw.extend_from_slice(
+                format!("GET {} HTTP/1.1\r\n{close}\r\n", paths[i % 4]).as_bytes(),
+            );
+        }
+        let mut stream = TcpStream::connect(listener.local_addr()).unwrap();
+        stream.write_all(&raw).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        for i in 0..8 {
+            let response = read_response(&mut reader, false)
+                .unwrap_or_else(|e| panic!("response {i} never came: {e:?}"));
+            let expected = if paths[i % 4] == "/ghost.xml" {
+                404
+            } else {
+                200
+            };
+            assert_eq!(response.status, expected, "response {i} out of order");
+        }
+        assert_eq!(listener.stats().requests_served, 8);
+        listener.shutdown();
+    }
+
+    /// A blocking handler: a request carrying `x-test-hold` waits, on its
+    /// pool worker, until the test opens the gate.
+    struct Gated {
+        inner: ShardedSiteHandler,
+        entered: AtomicUsize,
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    impl Gated {
+        fn new() -> Gated {
+            Gated {
+                inner: serve(&site()),
+                entered: AtomicUsize::new(0),
+                open: Mutex::new(false),
+                opened: Condvar::new(),
+            }
+        }
+
+        fn open(&self) {
+            *self.open.lock().unwrap() = true;
+            self.opened.notify_all();
+        }
+    }
+
+    impl Handler for Gated {
+        fn handle(&self, request: &Request) -> Response {
+            if request.header_value("x-test-hold").is_some() {
+                self.entered.fetch_add(1, Ordering::SeqCst);
+                let mut open = self.open.lock().unwrap();
+                while !*open {
+                    open = self.opened.wait(open).unwrap();
+                }
+            }
+            self.inner.handle(request)
+        }
+    }
+
+    const HELD: &[u8] = b"GET /a.xml HTTP/1.1\r\nx-test-hold: 1\r\n\r\n";
+
+    #[test]
+    fn a_held_pool_request_does_not_delay_another_connection() {
+        let gated = Arc::new(Gated::new());
+        let listener =
+            HttpListener::bind("127.0.0.1:0", Arc::clone(&gated), ListenerConfig::new(2)).unwrap();
+        let mut held = TcpStream::connect(listener.local_addr()).unwrap();
+        held.write_all(HELD).unwrap();
+        assert!(wait_until(|| gated.entered.load(Ordering::SeqCst) == 1));
+        // The other worker answers a second connection meanwhile.
+        let other = roundtrip(&listener, b"GET /style.css HTTP/1.1\r\n\r\n", false);
+        assert_eq!(other.status, 200);
+        held.set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut probe = [0u8; 1];
+        assert!(
+            held.read(&mut probe).is_err(),
+            "the held request is still unanswered"
+        );
+        gated.open();
+        held.set_read_timeout(None).unwrap();
+        let answer = read_response(&mut BufReader::new(held), false).unwrap();
+        assert_eq!(answer.status, 200);
+        assert_eq!(listener.stats().requests_served, 2);
+        listener.shutdown();
+    }
+
+    #[test]
+    fn a_full_pool_queue_sheds_503_on_the_wire() {
+        let gated = Arc::new(Gated::new());
+        let mut config = ListenerConfig::new(1);
+        config.pool = config.pool.queue_capacity(1);
+        let listener = HttpListener::bind("127.0.0.1:0", Arc::clone(&gated), config).unwrap();
+        // The only worker holds the first request.
+        let mut first = TcpStream::connect(listener.local_addr()).unwrap();
+        first.write_all(HELD).unwrap();
+        assert!(wait_until(|| gated.entered.load(Ordering::SeqCst) == 1));
+        // Two pipelined requests, submitted in order: the first takes the
+        // only queue place, the second finds the queue full.
+        let mut second = TcpStream::connect(listener.local_addr()).unwrap();
+        second.write_all(HELD).unwrap();
+        second
+            .write_all(b"GET /style.css HTTP/1.1\r\n\r\n")
+            .unwrap();
+        assert!(wait_until(|| listener.requests_shed() == 1));
+        gated.open();
+        let answer = read_response(&mut BufReader::new(first), false).unwrap();
+        assert_eq!(answer.status, 200);
+        let mut reader = BufReader::new(second);
+        assert_eq!(read_response(&mut reader, false).unwrap().status, 200);
+        let shed = read_response(&mut reader, false).unwrap();
+        assert_eq!(shed.status, 503);
+        assert_eq!(shed.header_value(SHED_HEADER), Some("queue-full"));
+        assert_eq!(shed.header_value(RETRY_AFTER_HEADER), Some("50"));
+        assert_eq!(listener.requests_shed(), 1);
+        assert_eq!(listener.stats().requests_served, 3);
         listener.shutdown();
     }
 }

@@ -6,7 +6,10 @@
 //! requests off one bounded job queue and answer each through its reply
 //! callback. The site handler is
 //! [`ShardedSiteHandler`](crate::ShardedSiteHandler), whose store swaps in
-//! publishes (re-weaves) as epochs while reads continue.
+//! publishes (re-weaves) as epochs while reads continue. It
+//! [never blocks](Handler::never_blocks), so the TCP front end
+//! ([`HttpListener`](crate::HttpListener)) answers it on its event loops
+//! and brings a pool up only for handlers that may block.
 //!
 //! ## Overload and failure contract
 //!
@@ -50,12 +53,34 @@ pub const SHED_HEADER: &str = "x-navsep-shed";
 pub trait Handler: Send + Sync {
     /// Produces the response for `request`.
     fn handle(&self, request: &Request) -> Response;
+
+    /// Whether [`handle`](Handler::handle) always returns promptly: no
+    /// I/O, no sleeping, no waiting on anything that can be held for long.
+    /// An [`HttpListener`](crate::HttpListener) answers such a handler on
+    /// its event-loop threads, with no pool hop; anything else is served
+    /// from a [`ServerPool`], so that one slow request cannot stall every
+    /// connection its loop multiplexes. Defaults to `false`.
+    fn never_blocks(&self) -> bool {
+        false
+    }
 }
 
 impl<H: Handler + ?Sized> Handler for Arc<H> {
     fn handle(&self, request: &Request) -> Response {
         (**self).handle(request)
     }
+
+    fn never_blocks(&self) -> bool {
+        (**self).never_blocks()
+    }
+}
+
+/// The answer to a request whose handler panicked: a 500 carrying
+/// [`RETRY_AFTER_HEADER`]. The pool and the listener's inline path send
+/// the same bytes.
+pub(crate) fn panic_response(retry_after_ms: u64) -> Response {
+    Response::server_error("request handler panicked")
+        .with_header(RETRY_AFTER_HEADER, retry_after_ms.to_string())
 }
 
 /// Sizing and robustness knobs for a [`ServerPool`].
@@ -224,8 +249,7 @@ impl PoolShared {
                     // explicit answer, counted before it is sent.
                     clean = false;
                     self.panics_absorbed.fetch_add(1, Ordering::SeqCst);
-                    Response::server_error("request handler panicked")
-                        .with_header(RETRY_AFTER_HEADER, self.retry_after_ms.to_string())
+                    panic_response(self.retry_after_ms)
                 }
             }
         };

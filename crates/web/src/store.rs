@@ -1063,6 +1063,13 @@ impl Handler for ShardedSiteHandler {
             None => Response::not_found(path),
         }
     }
+
+    /// `true`: an answer is one shard read (or one retained-ring read for
+    /// time travel) and a few `Arc` clones, with no I/O. Publishers hold
+    /// those locks for write only to swap pointers, never while weaving.
+    fn never_blocks(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

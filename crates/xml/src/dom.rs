@@ -3,12 +3,15 @@
 //! A [`Document`] owns all nodes in a flat arena; nodes are referenced by
 //! copyable [`NodeId`] handles. This gives cheap traversal without reference
 //! counting and makes structural mutation (needed by the aspect weaver)
-//! straightforward.
+//! straightforward. The arena sits behind one `Arc`, so cloning a document
+//! is a reference-count bump; the first mutation of a shared document
+//! copies the arena once (copy-on-write).
 
 use crate::error::{ParseXmlError, TextPos, XmlErrorKind};
 use crate::name::{NamespaceDecl, QName};
 use crate::writer::{WriteOptions, Writer};
 use std::fmt;
+use std::sync::Arc;
 
 /// A handle to a node inside a [`Document`].
 ///
@@ -109,6 +112,10 @@ struct NodeData {
 /// [`Document::new`] plus the mutation methods (or the fluent
 /// [`ElementBuilder`](crate::builder::ElementBuilder)).
 ///
+/// Clones are copy-on-write: `clone()` shares the node arena and allocates
+/// nothing, and the first mutation of either copy copies the arena once
+/// (O(nodes)), after which the two are independent. Readers never copy.
+///
 /// # Examples
 ///
 /// ```
@@ -123,7 +130,9 @@ struct NodeData {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Document {
-    nodes: Vec<NodeData>,
+    /// The node arena, shared between clones until one of them mutates
+    /// (every write goes through [`nodes_mut`](Document::nodes_mut)).
+    nodes: Arc<Vec<NodeData>>,
     /// Memoized [`content_hash`](Document::content_hash); reset by every
     /// mutating method so it can never go stale. Cloning a document carries
     /// the memo along (a clone has identical content by construction).
@@ -146,11 +155,11 @@ impl Document {
     /// Creates an empty document containing only the document node.
     pub fn new() -> Self {
         Document {
-            nodes: vec![NodeData {
+            nodes: Arc::new(vec![NodeData {
                 parent: None,
                 children: Vec::new(),
                 kind: NodeKind::Document,
-            }],
+            }]),
             cached_hash: std::sync::OnceLock::new(),
             cached_index: std::sync::OnceLock::new(),
         }
@@ -166,19 +175,19 @@ impl Document {
         crate::reader::parse_document(text)
     }
 
-    /// Clones the document with at least `additional` spare slots in the
-    /// node arena. A derived `clone()` allocates exactly `len` slots, so the
-    /// very first node inserted into the clone reallocates — and memcpys —
-    /// the entire arena; on a 100k-element page that realloc costs more than
-    /// the insertions themselves. Editing pipelines that clone-then-mutate
-    /// (the weaver, for one) use this to fold the headroom into the copy the
-    /// clone performs anyway.
+    /// Copies the document eagerly into an arena of its own with at least
+    /// `additional` spare slots. A `clone()` shares the arena, so the first
+    /// node inserted into it copies the arena at exactly `len` slots and at
+    /// once reallocates — and memcpys — the whole arena again; on a
+    /// 100k-element page that costs more than the insertions themselves.
+    /// Editing pipelines that clone-then-grow (the weaver, for one) use
+    /// this to pay one copy, with the headroom folded in.
     #[must_use]
     pub fn cloned_with_headroom(&self, additional: usize) -> Document {
         let mut nodes = Vec::with_capacity(self.nodes.len() + additional);
         nodes.extend(self.nodes.iter().cloned());
         Document {
-            nodes,
+            nodes: Arc::new(nodes),
             cached_hash: self.cached_hash.clone(),
             cached_index: self.cached_index.clone(),
         }
@@ -195,8 +204,9 @@ impl Document {
     /// [`content_hash`](Self::content_hash) and [`index`](Self::index)
     /// survive (node ids are arena indexes and do not move).
     pub fn shrink_to_fit(&mut self) {
-        self.nodes.shrink_to_fit();
-        for node in &mut self.nodes {
+        let nodes = self.nodes_mut();
+        nodes.shrink_to_fit();
+        for node in nodes {
             node.children.shrink_to_fit();
             if let NodeKind::Element {
                 attributes,
@@ -394,15 +404,23 @@ impl Document {
         self.cached_index = std::sync::OnceLock::new();
     }
 
+    /// The arena for writing: the one write access to `nodes`. A document
+    /// still sharing its arena with a clone copies it here first, so a
+    /// mutation never shows through another copy.
+    fn nodes_mut(&mut self) -> &mut Vec<NodeData> {
+        Arc::make_mut(&mut self.nodes)
+    }
+
     fn push_node(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
         self.invalidate_memos();
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData {
+        let nodes = self.nodes_mut();
+        let id = NodeId::from_index(nodes.len());
+        nodes.push(NodeData {
             parent: Some(parent),
             children: Vec::new(),
             kind,
         });
-        self.nodes[parent.index()].children.push(id);
+        nodes[parent.index()].children.push(id);
         id
     }
 
@@ -453,7 +471,7 @@ impl Document {
         self.invalidate_memos();
         let name = name.into();
         let value = value.into();
-        match &mut self.nodes[id.index()].kind {
+        match &mut self.nodes_mut()[id.index()].kind {
             NodeKind::Element { attributes, .. } => {
                 if let Some(a) = attributes.iter_mut().find(|a| a.name == name) {
                     a.value = value;
@@ -477,7 +495,7 @@ impl Document {
         uri: impl Into<String>,
     ) {
         self.invalidate_memos();
-        match &mut self.nodes[id.index()].kind {
+        match &mut self.nodes_mut()[id.index()].kind {
             NodeKind::Element {
                 namespace_decls, ..
             } => namespace_decls.push(NamespaceDecl {
@@ -504,8 +522,9 @@ impl Document {
             "cannot re-parent the document node"
         );
         self.detach(child);
-        self.nodes[child.index()].parent = Some(parent);
-        self.nodes[parent.index()].children.insert(index, child);
+        let nodes = self.nodes_mut();
+        nodes[child.index()].parent = Some(parent);
+        nodes[parent.index()].children.insert(index, child);
     }
 
     /// Appends an existing node `child` as the last child of `parent`.
@@ -518,8 +537,9 @@ impl Document {
     /// re-inserted).
     pub fn detach(&mut self, id: NodeId) {
         self.invalidate_memos();
-        if let Some(p) = self.nodes[id.index()].parent.take() {
-            self.nodes[p.index()].children.retain(|&c| c != id);
+        let nodes = self.nodes_mut();
+        if let Some(p) = nodes[id.index()].parent.take() {
+            nodes[p.index()].children.retain(|&c| c != id);
         }
     }
 
@@ -528,8 +548,9 @@ impl Document {
     /// [`insert_child_at`](Document::insert_child_at).
     pub fn create_detached_element(&mut self, name: impl Into<QName>) -> NodeId {
         self.invalidate_memos();
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData {
+        let nodes = self.nodes_mut();
+        let id = NodeId::from_index(nodes.len());
+        nodes.push(NodeData {
             parent: None,
             children: Vec::new(),
             kind: NodeKind::Element {
@@ -546,8 +567,9 @@ impl Document {
     /// [`insert_child_at`](Document::insert_child_at).
     pub fn create_detached_text(&mut self, text: impl Into<String>) -> NodeId {
         self.invalidate_memos();
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(NodeData {
+        let nodes = self.nodes_mut();
+        let id = NodeId::from_index(nodes.len());
+        nodes.push(NodeData {
             parent: None,
             children: Vec::new(),
             kind: NodeKind::Text(text.into()),
@@ -633,6 +655,35 @@ mod tests {
              <painting id=\"guernica\">Guernica</painting></painter></museum>",
         )
         .unwrap()
+    }
+
+    #[test]
+    fn clones_share_the_arena_until_one_mutates() {
+        let original = sample();
+        let bytes = original.to_xml_string();
+        let reader = original.clone();
+        let mut writer = original.clone();
+        assert!(Arc::ptr_eq(&original.nodes, &reader.nodes));
+        assert!(Arc::ptr_eq(&original.nodes, &writer.nodes));
+
+        let painter = writer.element_by_id("picasso").unwrap();
+        writer.set_attribute(painter, "born", "1881");
+        assert!(
+            !Arc::ptr_eq(&original.nodes, &writer.nodes),
+            "the mutated copy unshares"
+        );
+        assert!(
+            Arc::ptr_eq(&original.nodes, &reader.nodes),
+            "the copies that did not mutate still share"
+        );
+        assert_eq!(original.to_xml_string(), bytes);
+        assert_eq!(reader.to_xml_string(), bytes);
+        assert_eq!(writer.attribute(painter, "born"), Some("1881"));
+
+        // Once unshared, further mutations copy nothing.
+        let arena = Arc::as_ptr(&writer.nodes);
+        writer.create_text(painter, "more");
+        assert_eq!(Arc::as_ptr(&writer.nodes), arena);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests: serialize ∘ parse is the identity on serialized
-//! documents, and parsing never panics on arbitrary input.
+//! documents, parsing never panics on arbitrary input, and mutating a
+//! copy-on-write clone never shows through the document it was cloned from.
 
-use navsep_xml::{Document, ElementBuilder, WriteOptions};
+use navsep_xml::{Document, ElementBuilder, NodeId, WriteOptions};
 use proptest::prelude::*;
 
 /// Strategy for XML element/attribute names (a safe subset).
@@ -129,5 +130,115 @@ proptest! {
     #[test]
     fn parser_never_panics_markupish(input in "[<>&;\"'a-z/=! \\-\\[\\]]{0,64}") {
         let _ = Document::parse(&input);
+    }
+}
+
+/// One mutation of the copy-on-write law. Node operands are positions in
+/// the document's pre-order node list, taken modulo its length when the
+/// edit is applied, so any sequence applies to any document.
+#[derive(Debug, Clone)]
+enum Edit {
+    AppendElement(usize, String),
+    AppendText(usize, String),
+    SetAttribute(usize, String, String),
+    Detach(usize),
+    Move(usize, usize),
+    Shrink,
+}
+
+fn edit_strategy() -> impl Strategy<Value = Edit> {
+    prop_oneof![
+        (0..64usize, name_strategy()).prop_map(|(at, name)| Edit::AppendElement(at, name)),
+        (0..64usize, text_strategy()).prop_map(|(at, text)| Edit::AppendText(at, text)),
+        (0..64usize, name_strategy(), attr_value_strategy())
+            .prop_map(|(at, name, value)| Edit::SetAttribute(at, name, value)),
+        (0..64usize).prop_map(Edit::Detach),
+        (0..64usize, 0..64usize).prop_map(|(node, to)| Edit::Move(node, to)),
+        Just(Edit::Shrink),
+    ]
+}
+
+/// Applies `edit`; node choices depend only on the tree, so two documents
+/// with the same content take the same edit the same way.
+fn apply(doc: &mut Document, edit: &Edit) {
+    let reachable: Vec<NodeId> = doc.descendants(doc.document_node()).collect();
+    let elements: Vec<NodeId> = reachable
+        .iter()
+        .copied()
+        .filter(|&n| doc.is_element(n))
+        .collect();
+    // Below the root element: detaching or moving these keeps a root.
+    let movable: Vec<NodeId> = reachable
+        .iter()
+        .copied()
+        .filter(|&n| doc.parent(n).is_some_and(|p| p != doc.document_node()))
+        .collect();
+    let pick = |nodes: &[NodeId], at: usize| nodes.get(at % nodes.len().max(1)).copied();
+    match edit {
+        Edit::AppendElement(at, name) => {
+            if let Some(parent) = pick(&elements, *at) {
+                doc.create_element(parent, name.as_str());
+            }
+        }
+        Edit::AppendText(at, text) => {
+            if let Some(parent) = pick(&elements, *at) {
+                doc.create_text(parent, text.as_str());
+            }
+        }
+        Edit::SetAttribute(at, name, value) => {
+            if let Some(element) = pick(&elements, *at) {
+                doc.set_attribute(element, name.as_str(), value.as_str());
+            }
+        }
+        Edit::Detach(at) => {
+            if let Some(node) = pick(&movable, *at) {
+                doc.detach(node);
+            }
+        }
+        Edit::Move(node, to) => {
+            let (Some(node), Some(parent)) = (pick(&movable, *node), pick(&elements, *to)) else {
+                return;
+            };
+            // Never under itself: that would cut the subtree off in a cycle.
+            if doc.descendants(node).all(|n| n != parent) {
+                doc.insert_child_at(parent, 0, node);
+            }
+        }
+        Edit::Shrink => doc.shrink_to_fit(),
+    }
+}
+
+proptest! {
+    /// Copy-on-write law: mutating a clone leaves the original's bytes,
+    /// content hash and index untouched, and the clone ends up exactly as
+    /// an eager copy (`cloned_with_headroom(0)`) given the same edits.
+    #[test]
+    fn mutating_a_clone_leaves_the_original_intact(
+        tree in tree_strategy(),
+        edits in proptest::collection::vec(edit_strategy(), 0..12),
+    ) {
+        let original = tree.build_document();
+        let bytes = original.to_xml_string();
+        let hash = original.content_hash();
+        let index = original.index_arc();
+        let elements = index.elements().to_vec();
+
+        let mut shared = original.clone();
+        let mut eager = original.cloned_with_headroom(0);
+        for edit in &edits {
+            apply(&mut shared, edit);
+            apply(&mut eager, edit);
+        }
+
+        prop_assert_eq!(original.to_xml_string(), bytes);
+        prop_assert_eq!(original.content_hash(), hash);
+        prop_assert!(std::sync::Arc::ptr_eq(&original.index_arc(), &index));
+        prop_assert_eq!(original.index().elements(), &elements[..]);
+
+        let shared_bytes = shared.to_xml_string();
+        prop_assert_eq!(&shared_bytes, &eager.to_xml_string());
+        prop_assert_eq!(shared.content_hash(), eager.content_hash());
+        prop_assert_eq!(shared.content_hash(), navsep_xml::fnv1a64(shared_bytes.as_bytes()));
+        prop_assert_eq!(shared.index().elements(), eager.index().elements());
     }
 }
