@@ -34,7 +34,7 @@
 use navsep_bench::{banner, print_table, record_bench_section_in, traffic_json_path};
 use navsep_web::wire::{read_response, serialize_request};
 use navsep_web::{
-    Handler, HttpListener, ListenerConfig, PoolConfig, Request, ServerPool, ShardedSiteHandler,
+    HttpListener, ListenerConfig, PoolConfig, Request, ServerPool, ShardedSiteHandler,
     ShardedSiteStore, Site, AT_GENERATION_HEADER, DEGRADED_HEADER, GENERATION_HEADER,
     IF_GENERATION_HEADER, STALE_HEADER,
 };
@@ -68,9 +68,8 @@ const C10K_ACTIVE_PER_CLIENT: usize = 192;
 /// c10k: pipelined requests per burst (== the listener's default
 /// `max_pipeline`, so pause/resume backpressure is exercised too).
 const C10K_BURST: usize = 32;
-/// c10k: event loops and pool workers for the dedicated listener.
+/// c10k: event loops for the dedicated listener.
 const C10K_LOOPS: usize = 2;
-const C10K_WORKERS: usize = 4;
 
 fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
@@ -574,17 +573,10 @@ fn c10k_scenario(handler: &Arc<ShardedSiteHandler>, smoke: bool) -> Option<Scena
     let total_sockets = C10K_CLIENTS * C10K_SOCKETS_PER_CLIENT;
     let rounds = if smoke { 4 } else { 24 };
     let baseline_threads = os_thread_count().expect("read /proc/self/status");
-    // Workers the listener actually starts: none for an inline handler.
-    let pool_workers = if handler.never_blocks() {
-        0
-    } else {
-        C10K_WORKERS
-    };
     let listener = HttpListener::bind(
         "127.0.0.1:0",
         Arc::clone(handler),
-        ListenerConfig::new(C10K_WORKERS)
-            .loops(C10K_LOOPS)
+        ListenerConfig::new(C10K_LOOPS)
             .max_connections(total_sockets + 1_800)
             .keep_alive_timeout(Duration::from_secs(60)),
     )
@@ -630,19 +622,18 @@ fn c10k_scenario(handler: &Arc<ShardedSiteHandler>, smoke: bool) -> Option<Scena
     let concurrent = stats.open_now;
     println!(
         "c10k: {concurrent} sockets open concurrently, {os_threads} OS threads \
-         (baseline {baseline_threads}, {C10K_LOOPS} loops + {pool_workers} pool workers)"
+         (baseline {baseline_threads}, {C10K_LOOPS} loops)"
     );
     assert!(
         concurrent >= 10_000,
         "c10k floor: need >=10000 concurrent sockets, listener holds {concurrent}"
     );
     // The whole point: the thread count must not scale with sockets. The
-    // listener adds at most loops + workers (+ a small constant); the site
-    // handler never blocks, so this one answers on its loops and starts no
-    // pool workers at all. Nothing is per-connection.
+    // listener's loops answer every request themselves; it adds those
+    // threads (+ a small constant) and nothing per connection.
     assert!(
-        os_threads <= baseline_threads + (C10K_LOOPS + C10K_WORKERS) as u64 + 4,
-        "thread count must be loops + workers + O(1), not O(connections): \
+        os_threads <= baseline_threads + C10K_LOOPS as u64 + 4,
+        "thread count must be loops + O(1), not O(connections): \
          {os_threads} threads over a baseline of {baseline_threads}"
     );
 
@@ -702,7 +693,6 @@ fn c10k_scenario(handler: &Arc<ShardedSiteHandler>, smoke: bool) -> Option<Scena
                 ("os_threads", os_threads),
                 ("baseline_threads", baseline_threads),
                 ("loops", C10K_LOOPS as u64),
-                ("pool_workers", pool_workers as u64),
             ],
             latencies_us: latencies,
         }

@@ -3,20 +3,17 @@
 //! A [`Conn`] holds everything in flight on one connection except the
 //! socket: the resumable [`RequestParser`] (partial reads resume across
 //! readiness events), an ordered pipeline of response slots (HTTP/1.1
-//! pipelining: responses go out in request order even when the pool
-//! finishes them out of order), the write position inside the front slot,
-//! and the connection's deadline.
-//!
-//! A request's answer arrives through the same input whoever produced
-//! it: the pool's reply, some passes later, or an inline handler's answer
-//! in the very pass that extracted the request. The machine cannot tell
-//! the two apart, so one law covers both.
+//! pipelining: responses go out in request order whatever order the
+//! answers arrive in), the write position inside the front slot, and the
+//! connection's deadline. The event loop answers each request in the pass
+//! that extracts it; the law below also feeds answers in random order,
+//! some passes late, and the output order holds either way.
 //!
 //! Its inputs are plain values: bytes received ([`Conn::on_bytes`]), the
 //! peer's EOF ([`Conn::on_eof`]), an answer ([`Conn::on_reply`]), a
 //! count of bytes the socket accepted ([`Conn::on_written`]), drain
 //! ([`Conn::begin_drain`]), and the current time, passed in. Its outputs
-//! are the requests to submit ([`Conn::take_requests`]), the contiguous
+//! are the requests to answer ([`Conn::take_requests`]), the contiguous
 //! ready output prefix ([`Conn::ready_output`]), its readiness interest,
 //! the close decision ([`Conn::wants_close`]) and the deadline verdict
 //! ([`Conn::on_deadline`]). The socket reads and writes live in
@@ -43,8 +40,8 @@ pub(crate) enum Verdict {
 }
 
 /// One pipelined exchange: the response slot for the `seq`-th request
-/// parsed off this connection. Slots may complete out of order (the pool
-/// is concurrent) but transmit strictly in order.
+/// parsed off this connection. Slots may complete in any order but
+/// transmit strictly in order.
 struct PipelineSlot {
     seq: u64,
     /// HEAD requests serialize without body bytes.
@@ -57,9 +54,9 @@ struct PipelineSlot {
 
 /// A connection owned by one event loop.
 pub(crate) struct Conn {
-    /// Unique per listener; guards against slot-reuse races (a stale
-    /// completion for a previous occupant of this slot must not write
-    /// into the new connection).
+    /// Unique per listener; guards against slot reuse (a stale deadline
+    /// entry for a previous occupant of this slot must not close the new
+    /// connection).
     pub(crate) id: u64,
     parser: RequestParser,
     slots: VecDeque<PipelineSlot>,
@@ -378,7 +375,7 @@ mod tests {
     /// Drives a connection the way the event loop does, with the socket
     /// replaced by a seeded schedule: `input[..eof_at]` arrives in random
     /// segments, one or more per read pass, and is followed by EOF; the
-    /// pool answers outstanding requests in random order; each flush
+    /// outstanding requests are answered in random order; each flush
     /// accepts a random number of bytes (0 is a full socket); and drain
     /// begins at step `drain_at`. Every action is followed by request
     /// extraction, as after every event the loop settles.
@@ -558,7 +555,7 @@ mod tests {
     #[test]
     fn a_busy_connection_is_extended_not_reaped() {
         let t0 = Instant::now();
-        // A request awaiting its pool answer.
+        // A request awaiting its answer.
         let mut waiting = conn(4, t0);
         waiting.on_bytes(b"GET /a.xml HTTP/1.1\r\n\r\n", t0);
         assert_eq!(waiting.take_requests().requests.len(), 1);

@@ -15,22 +15,16 @@
 //! listener sheds, it never queues connections) and round-robin assigned
 //! across loops via each loop's [`Mailbox`].
 //!
-//! Requests are answered one of two ways, fixed at bind time. A handler
-//! that [never blocks](crate::Handler::never_blocks) answers on the loop
-//! thread that parsed the request, inside [`EventLoop::settle`], under
-//! `catch_unwind`: no cross-thread hop, and a panic answers the pool's
-//! 500. Any other handler is served by the pool: [`ServerPool::submit`]
-//! callbacks capture the owning loop's mailbox and push a [`Msg::Reply`],
-//! waking the loop through [`Poller::notify`]. Either way no thread ever
-//! parks waiting for a response, so thread count stays `loops` (inline)
-//! or `loops + pool workers` no matter how many sockets are open.
-//!
-//! [`ServerPool::submit`]: crate::server::ServerPool::submit
-//! [`Poller::notify`]: polling::Poller::notify
+//! The loop that parses a request answers it, inside
+//! [`EventLoop::settle`]: it calls the handler under `catch_unwind` (a
+//! panic answers the pool's 500) and installs the answer at once. No
+//! request crosses a thread and no thread ever parks waiting for a
+//! response, so the thread count stays `loops` no matter how many sockets
+//! are open.
 
 use crate::conn::{Conn, Verdict};
 use crate::http::Response;
-use crate::listener::{Dispatch, ListenerShared};
+use crate::listener::ListenerShared;
 use crate::server::{panic_response, SHED_HEADER};
 use crate::wire::serialize_response;
 use polling::{Event, Interest, Poller};
@@ -48,25 +42,11 @@ use std::time::{Duration, Instant};
 /// `polling::NOTIFY_KEY` (`usize::MAX`) is reserved by the poller itself.
 const ACCEPT_KEY: usize = usize::MAX - 1;
 
-/// Cross-thread message box for one event loop. Pushing wakes the loop.
+/// Cross-thread inbox for one event loop: connections loop 0 accepted
+/// and assigned to it. Pushing wakes the loop.
 pub(crate) struct Mailbox {
-    queue: Mutex<Vec<Msg>>,
+    queue: Mutex<Vec<TcpStream>>,
     pub(crate) poller: Poller,
-}
-
-/// Work delivered to a loop from outside its thread.
-pub(crate) enum Msg {
-    /// A freshly accepted connection assigned to this loop.
-    Accept(TcpStream),
-    /// A pool completion for request `seq` on the connection at `slot`.
-    /// `conn_id` guards against slot reuse: a reply for a previous
-    /// occupant must not be written into the current one.
-    Reply {
-        slot: usize,
-        conn_id: u64,
-        seq: u64,
-        response: Response,
-    },
 }
 
 impl Mailbox {
@@ -77,13 +57,13 @@ impl Mailbox {
         })
     }
 
-    /// Enqueues `msg` and wakes the owning loop.
-    pub(crate) fn push(&self, msg: Msg) {
-        self.queue.lock().expect("mailbox lock").push(msg);
+    /// Enqueues `stream` and wakes the owning loop.
+    pub(crate) fn push(&self, stream: TcpStream) {
+        self.queue.lock().expect("mailbox lock").push(stream);
         let _ = self.poller.notify();
     }
 
-    fn drain(&self) -> Vec<Msg> {
+    fn drain(&self) -> Vec<TcpStream> {
         std::mem::take(&mut *self.queue.lock().expect("mailbox lock"))
     }
 }
@@ -225,16 +205,8 @@ impl EventLoop {
                 // rather than spin.
                 break;
             }
-            for msg in self.mailbox.drain() {
-                match msg {
-                    Msg::Accept(stream) => self.adopt(stream),
-                    Msg::Reply {
-                        slot,
-                        conn_id,
-                        seq,
-                        response,
-                    } => self.on_reply(slot, conn_id, seq, response),
-                }
+            for stream in self.mailbox.drain() {
+                self.adopt(stream);
             }
             for &event in &events {
                 if event.key == ACCEPT_KEY {
@@ -292,7 +264,7 @@ impl EventLoop {
                     if target == self.index {
                         self.adopt(stream);
                     } else {
-                        self.peers[target].push(Msg::Accept(stream));
+                        self.peers[target].push(stream);
                     }
                 }
                 Err(_) => {
@@ -359,19 +331,6 @@ impl EventLoop {
         }
     }
 
-    /// A pool completion: install the response (staleness-guarded by
-    /// `conn_id`), then try to push bytes out immediately. Inline answers
-    /// never pass through here.
-    fn on_reply(&mut self, slot: usize, conn_id: u64, seq: u64, response: Response) {
-        // Counted unconditionally: the pool answered, even if the peer
-        // vanished meanwhile.
-        self.shared.requests_served.fetch_add(1, Ordering::SeqCst);
-        if let Some(conn) = self.conn_mut(slot, conn_id) {
-            conn.on_reply(seq, &response);
-            self.settle(slot);
-        }
-    }
-
     /// A readiness event on a connection socket.
     fn on_socket_event(&mut self, event: Event) {
         let slot = event.key;
@@ -390,11 +349,10 @@ impl EventLoop {
 
     /// Flushes ready output and answers every request the connection can
     /// admit, repeating until neither makes progress, then either closes
-    /// the connection or re-arms the poller with its interest. An inline
-    /// answer is installed at once; once flushed it frees a pipeline slot
-    /// for requests the parser already holds, which no readiness event
-    /// would report — hence the repeat. Pool requests are submitted, and
-    /// their answers come back as [`Msg::Reply`].
+    /// the connection or re-arms the poller with its interest. An answer
+    /// is installed at once; once flushed it frees a pipeline slot for
+    /// requests the parser already holds, which no readiness event would
+    /// report — hence the repeat.
     fn settle(&mut self, slot: usize) {
         let Some(Some((stream, conn))) = self.conns.get_mut(slot) else {
             return;
@@ -414,36 +372,15 @@ impl EventLoop {
             } else if batch.requests.is_empty() {
                 break false;
             }
-            match &shared.dispatch {
-                Dispatch::Inline {
-                    handler,
-                    retry_after_ms,
-                } => {
-                    for (seq, request) in batch.requests {
-                        let request = request.to_request();
-                        let response = catch_unwind(AssertUnwindSafe(|| handler.handle(&request)))
-                            .unwrap_or_else(|_| {
-                                shared.handler_panics.fetch_add(1, Ordering::SeqCst);
-                                panic_response(*retry_after_ms)
-                            });
-                        shared.requests_served.fetch_add(1, Ordering::SeqCst);
-                        conn.on_reply(seq, &response);
-                    }
-                }
-                Dispatch::Pool(pool) => {
-                    let conn_id = conn.id;
-                    for (seq, request) in batch.requests {
-                        let mailbox = Arc::clone(&self.mailbox);
-                        pool.submit(request.to_request(), move |response| {
-                            mailbox.push(Msg::Reply {
-                                slot,
-                                conn_id,
-                                seq,
-                                response,
-                            });
-                        });
-                    }
-                }
+            for (seq, request) in batch.requests {
+                let request = request.to_request();
+                let response = catch_unwind(AssertUnwindSafe(|| shared.handler.handle(&request)))
+                    .unwrap_or_else(|_| {
+                        shared.handler_panics.fetch_add(1, Ordering::SeqCst);
+                        panic_response(shared.retry_after_ms)
+                    });
+                shared.requests_served.fetch_add(1, Ordering::SeqCst);
+                conn.on_reply(seq, &response);
             }
         };
         if failed || conn.wants_close() {

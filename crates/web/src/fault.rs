@@ -338,9 +338,6 @@ pub fn fire(plan: Option<&FaultPlan>, site: &str, key: &str) -> Result<(), Fault
 /// Wraps a [`Handler`], consulting a plan at [`sites::SERVER_HANDLE`] before
 /// each request: panics propagate to the pool's `catch_unwind` (exercising
 /// respawn), slowness exercises deadlines, and errors become plain 500s.
-/// It keeps [`Handler::never_blocks`] at `false`, whatever it wraps: a
-/// `Slow` fault sleeps, which must happen on a pool worker, not on an
-/// event loop.
 pub struct FaultInjectingHandler<H> {
     inner: H,
     plan: std::sync::Arc<FaultPlan>,

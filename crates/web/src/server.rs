@@ -6,10 +6,9 @@
 //! requests off one bounded job queue and answer each through its reply
 //! callback. The site handler is
 //! [`ShardedSiteHandler`](crate::ShardedSiteHandler), whose store swaps in
-//! publishes (re-weaves) as epochs while reads continue. It
-//! [never blocks](Handler::never_blocks), so the TCP front end
-//! ([`HttpListener`](crate::HttpListener)) answers it on its event loops
-//! and brings a pool up only for handlers that may block.
+//! publishes (re-weaves) as epochs while reads continue. The TCP front
+//! end ([`HttpListener`](crate::HttpListener)) starts no pool: it calls
+//! the handler on its event loops.
 //!
 //! ## Overload and failure contract
 //!
@@ -52,32 +51,23 @@ pub const SHED_HEADER: &str = "x-navsep-shed";
 /// Anything that can answer requests.
 pub trait Handler: Send + Sync {
     /// Produces the response for `request`.
+    ///
+    /// An [`HttpListener`](crate::HttpListener) calls this on its
+    /// event-loop threads, so a handler served over the wire should
+    /// return promptly: while it runs, every connection its loop
+    /// multiplexes waits.
     fn handle(&self, request: &Request) -> Response;
-
-    /// Whether [`handle`](Handler::handle) always returns promptly: no
-    /// I/O, no sleeping, no waiting on anything that can be held for long.
-    /// An [`HttpListener`](crate::HttpListener) answers such a handler on
-    /// its event-loop threads, with no pool hop; anything else is served
-    /// from a [`ServerPool`], so that one slow request cannot stall every
-    /// connection its loop multiplexes. Defaults to `false`.
-    fn never_blocks(&self) -> bool {
-        false
-    }
 }
 
 impl<H: Handler + ?Sized> Handler for Arc<H> {
     fn handle(&self, request: &Request) -> Response {
         (**self).handle(request)
     }
-
-    fn never_blocks(&self) -> bool {
-        (**self).never_blocks()
-    }
 }
 
 /// The answer to a request whose handler panicked: a 500 carrying
-/// [`RETRY_AFTER_HEADER`]. The pool and the listener's inline path send
-/// the same bytes.
+/// [`RETRY_AFTER_HEADER`]. The pool and the listener send the same
+/// bytes.
 pub(crate) fn panic_response(retry_after_ms: u64) -> Response {
     Response::server_error("request handler panicked")
         .with_header(RETRY_AFTER_HEADER, retry_after_ms.to_string())

@@ -963,6 +963,12 @@ impl ShardedSiteStore {
 /// honouring the time-travel ([`AT_GENERATION_HEADER`]) and
 /// conditional-navigation ([`IF_GENERATION_HEADER`]) request headers.
 ///
+/// An answer is one shard read (or one retained-ring read for time
+/// travel) and a few `Arc` clones, with no I/O; publishers take those
+/// locks for write only to swap pointers, never while weaving. That is
+/// what lets an [`HttpListener`](crate::HttpListener) call it on its
+/// event loops.
+///
 /// # Examples
 ///
 /// ```
@@ -1062,13 +1068,6 @@ impl Handler for ShardedSiteHandler {
             }
             None => Response::not_found(path),
         }
-    }
-
-    /// `true`: an answer is one shard read (or one retained-ring read for
-    /// time travel) and a few `Arc` clones, with no I/O. Publishers hold
-    /// those locks for write only to swap pointers, never while weaving.
-    fn never_blocks(&self) -> bool {
-        true
     }
 }
 
