@@ -172,7 +172,7 @@ mod tests {
         let Realized::Elements(els) = adv.content.realize(&jp) else {
             panic!()
         };
-        let built = els[0].build_document();
+        let built = els[0].clone().build_document();
         assert_eq!(
             built.text_content(built.root_element().unwrap()),
             "painting-guitar.html"
@@ -193,7 +193,7 @@ mod tests {
         let Realized::Elements(els) = adv.content.realize(&jp) else {
             panic!()
         };
-        let built = els[0].build_document();
+        let built = els[0].clone().build_document();
         assert_eq!(built.text_content(built.root_element().unwrap()), "p.html");
     }
 

@@ -255,8 +255,10 @@ fn main() {
     );
 
     // The acceptance invariants this bin exists to demonstrate.
-    assert!(SESSIONS >= 8, "must drive at least 8 concurrent sessions");
-    assert!(PUBLISHES >= 3, "must interleave at least 3 publishes");
+    const {
+        assert!(SESSIONS >= 8, "must drive at least 8 concurrent sessions");
+        assert!(PUBLISHES >= 3, "must interleave at least 3 publishes");
+    }
     assert!(
         total_stale >= 1,
         "a reweave mid-walk must leave at least one stale history entry"

@@ -7,7 +7,8 @@
 //! [`crate::navigational`] defines *views* over it.
 
 use crate::error::ModelError;
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// An attribute declaration on a class.
@@ -141,6 +142,14 @@ impl ObjectId {
     }
 }
 
+/// Lets id-keyed maps answer a `&str` lookup without allocating an
+/// `ObjectId`; the derived `Hash`/`Eq` agree with `str`'s.
+impl Borrow<str> for ObjectId {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
@@ -200,6 +209,23 @@ impl ConceptualObject {
 /// A populated conceptual model: objects plus relationship links, validated
 /// against a [`ConceptualSchema`].
 ///
+/// The store is append-only: objects and links can be added but never
+/// removed or changed, so its indexes are only ever extended and need no
+/// invalidation. With `n` objects, `r` declared relationships and `a`
+/// attributes on the created object's class:
+///
+/// * [`object`](Self::object) / [`object_by_str`](Self::object_by_str):
+///   one hash lookup (a `&str` lookup allocates nothing);
+/// * [`create`](Self::create): `O(a)` schema checks plus one hash lookup
+///   for the duplicate check;
+/// * [`link`](Self::link): `O(r)` to find the relationship, two hash
+///   lookups for the endpoints, `O(1)` for the `One`-cardinality check;
+/// * [`related`](Self::related) / [`related_to`](Self::related_to):
+///   `O(r + k)` for `k` results, read from per-`(relationship, endpoint)`
+///   adjacency lists kept in link order;
+/// * [`objects_of_class`](Self::objects_of_class): `O(n)`, one pass in
+///   creation order.
+///
 /// # Examples
 ///
 /// ```
@@ -220,16 +246,49 @@ impl ConceptualObject {
 pub struct InstanceStore {
     schema: ConceptualSchema,
     objects: Vec<ConceptualObject>,
-    links: Vec<(String, ObjectId, ObjectId)>,
+    /// Position in `objects` of every id.
+    by_id: HashMap<ObjectId, usize>,
+    /// One entry per declared relationship, parallel to
+    /// `schema.relationships()`.
+    adjacency: Vec<Adjacency>,
+}
+
+/// The links of one relationship, as lists of object positions indexed by
+/// the position of the other endpoint, each in link order.
+#[derive(Debug, Clone, Default)]
+struct Adjacency {
+    /// `targets[from]`: the objects `from` links to.
+    targets: Vec<Vec<usize>>,
+    /// `sources[to]`: the objects that link to `to`.
+    sources: Vec<Vec<usize>>,
+}
+
+impl Adjacency {
+    fn add(&mut self, from: usize, to: usize) {
+        fn push(lists: &mut Vec<Vec<usize>>, at: usize, value: usize) {
+            if lists.len() <= at {
+                lists.resize_with(at + 1, Vec::new);
+            }
+            lists[at].push(value);
+        }
+        push(&mut self.targets, from, to);
+        push(&mut self.sources, to, from);
+    }
+
+    fn list(lists: &[Vec<usize>], at: usize) -> &[usize] {
+        lists.get(at).map_or(&[], Vec::as_slice)
+    }
 }
 
 impl InstanceStore {
     /// Creates an empty store governed by `schema`.
     pub fn new(schema: ConceptualSchema) -> Self {
+        let adjacency = vec![Adjacency::default(); schema.relationships.len()];
         InstanceStore {
             schema,
             objects: Vec::new(),
-            links: Vec::new(),
+            by_id: HashMap::new(),
+            adjacency,
         }
     }
 
@@ -264,9 +323,10 @@ impl InstanceStore {
                 });
             }
         }
-        if self.objects.iter().any(|o| o.id == id) {
+        if self.by_id.contains_key(&id) {
             return Err(ModelError::DuplicateObject(id.to_string()));
         }
+        self.by_id.insert(id.clone(), self.objects.len());
         self.objects.push(ConceptualObject {
             id: id.clone(),
             class: class.to_string(),
@@ -293,52 +353,81 @@ impl InstanceStore {
     ) -> Result<(), ModelError> {
         let from = from.into();
         let to = to.into();
-        let rel = self
-            .schema
-            .relationship_def(relationship)
-            .ok_or_else(|| ModelError::UnknownRelationship(relationship.to_string()))?
-            .clone();
-        let from_obj = self
-            .object(&from)
-            .ok_or_else(|| ModelError::UnknownObject(from.to_string()))?;
-        let to_obj = self
-            .object(&to)
-            .ok_or_else(|| ModelError::UnknownObject(to.to_string()))?;
-        if from_obj.class() != rel.source {
+        let (rel_at, rel) = self
+            .relationship(relationship)
+            .ok_or_else(|| ModelError::UnknownRelationship(relationship.to_string()))?;
+        let from_at = self.position(from.as_str())?;
+        let to_at = self.position(to.as_str())?;
+        let from_class = self.objects[from_at].class();
+        let to_class = self.objects[to_at].class();
+        if from_class != rel.source {
             return Err(ModelError::BadLink {
                 relationship: rel.name.clone(),
-                reason: format!("source must be {}, got {}", rel.source, from_obj.class()),
+                reason: format!("source must be {}, got {from_class}", rel.source),
             });
         }
-        if to_obj.class() != rel.target {
+        if to_class != rel.target {
             return Err(ModelError::BadLink {
                 relationship: rel.name.clone(),
-                reason: format!("target must be {}, got {}", rel.target, to_obj.class()),
+                reason: format!("target must be {}, got {to_class}", rel.target),
             });
         }
         if rel.target_cardinality == Cardinality::One
-            && self
-                .links
-                .iter()
-                .any(|(r, f, _)| *r == rel.name && *f == from)
+            && !Adjacency::list(&self.adjacency[rel_at].targets, from_at).is_empty()
         {
             return Err(ModelError::BadLink {
                 relationship: rel.name.clone(),
                 reason: "target cardinality 1 exceeded".into(),
             });
         }
-        self.links.push((rel.name.clone(), from, to));
+        self.adjacency[rel_at].add(from_at, to_at);
         Ok(())
+    }
+
+    /// The position and declaration of the relationship named `name`.
+    fn relationship(&self, name: &str) -> Option<(usize, &RelationshipDef)> {
+        self.schema
+            .relationships
+            .iter()
+            .enumerate()
+            .find(|(_, r)| r.name == name)
+    }
+
+    /// The position in `objects` of `id`.
+    fn position(&self, id: &str) -> Result<usize, ModelError> {
+        self.by_id
+            .get(id)
+            .copied()
+            .ok_or_else(|| ModelError::UnknownObject(id.to_string()))
+    }
+
+    /// The objects the `lists` side of `relationship` holds for `id`, in
+    /// link order; empty when the relationship is undeclared.
+    fn adjacent(
+        &self,
+        id: impl Into<ObjectId>,
+        relationship: &str,
+        lists: impl Fn(&Adjacency) -> &[Vec<usize>],
+    ) -> Result<Vec<&ConceptualObject>, ModelError> {
+        let at = self.position(id.into().as_str())?;
+        Ok(self
+            .relationship(relationship)
+            .map_or(&[][..], |(rel_at, _)| {
+                Adjacency::list(lists(&self.adjacency[rel_at]), at)
+            })
+            .iter()
+            .map(|&i| &self.objects[i])
+            .collect())
     }
 
     /// Looks up an object by id.
     pub fn object(&self, id: &ObjectId) -> Option<&ConceptualObject> {
-        self.objects.iter().find(|o| &o.id == id)
+        self.object_by_str(id.as_str())
     }
 
     /// Looks up an object by raw id text.
     pub fn object_by_str(&self, id: &str) -> Option<&ConceptualObject> {
-        self.objects.iter().find(|o| o.id.as_str() == id)
+        self.by_id.get(id).map(|&i| &self.objects[i])
     }
 
     /// All objects of `class`, in creation order.
@@ -364,19 +453,11 @@ impl InstanceStore {
         from: impl Into<ObjectId>,
         relationship: &str,
     ) -> Result<Vec<&ConceptualObject>, ModelError> {
-        let from = from.into();
-        if self.object(&from).is_none() {
-            return Err(ModelError::UnknownObject(from.to_string()));
-        }
-        Ok(self
-            .links
-            .iter()
-            .filter(|(r, f, _)| r == relationship && *f == from)
-            .filter_map(|(_, _, t)| self.object(t))
-            .collect())
+        self.adjacent(from, relationship, |a| &a.targets)
     }
 
-    /// Objects that link *to* `to` through `relationship` (reverse lookup).
+    /// Objects that link *to* `to` through `relationship` (reverse lookup),
+    /// in link order.
     ///
     /// # Errors
     ///
@@ -386,16 +467,7 @@ impl InstanceStore {
         to: impl Into<ObjectId>,
         relationship: &str,
     ) -> Result<Vec<&ConceptualObject>, ModelError> {
-        let to = to.into();
-        if self.object(&to).is_none() {
-            return Err(ModelError::UnknownObject(to.to_string()));
-        }
-        Ok(self
-            .links
-            .iter()
-            .filter(|(r, _, t)| r == relationship && *t == to)
-            .filter_map(|(_, f, _)| self.object(f))
-            .collect())
+        self.adjacent(to, relationship, |a| &a.sources)
     }
 
     /// Number of objects.

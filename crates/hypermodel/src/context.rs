@@ -14,7 +14,8 @@
 use crate::access::{AccessGraph, AccessStructureKind, Member};
 use crate::conceptual::InstanceStore;
 use crate::error::ModelError;
-use crate::navigational::NavigationalSchema;
+use crate::navigational::{NavNode, NavigationalSchema};
+use std::collections::HashMap;
 
 /// One navigational context: an ordered member set plus its access structure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,15 +136,16 @@ impl ContextFamily {
             .node_class_named(member_node_class)
             .ok_or_else(|| ModelError::UnknownClass(member_node_class.to_string()))?;
         let member_nodes = nav.derive_nodes(member_node_class, store)?;
+        let by_slug: HashMap<&str, &NavNode> =
+            member_nodes.iter().map(|n| (n.slug.as_str(), n)).collect();
         let mut contexts = Vec::new();
         for group in store.objects_of_class(group_class) {
-            let related = store.related(group.id().clone(), relationship)?;
+            let related = store.related(group.id(), relationship)?;
             let members: Vec<Member> = related
                 .iter()
                 .filter_map(|obj| {
-                    member_nodes
-                        .iter()
-                        .find(|n| n.slug == obj.id().as_str())
+                    by_slug
+                        .get(obj.id().as_str())
                         .map(|n| Member::new(n.slug.clone(), n.title.clone()))
                 })
                 .collect();

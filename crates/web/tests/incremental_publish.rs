@@ -169,7 +169,7 @@ proptest! {
             // generation is genuinely no longer in the ring.
             else {
                 prop_assert!(
-                    !store.retained_generations().iter().any(|&g| g == *generation)
+                    !store.retained_generations().contains(generation)
                         || store.get(path).is_none()
                         || store.get(path).unwrap().generation() != *generation,
                     "{} at retained generation {} must be servable",

@@ -183,7 +183,7 @@ proptest! {
     fn truncated_heads_are_clean(cut in 1usize..46) {
         let full = "GET /a.xml HTTP/1.1\r\nx-navsep-if-generation: 3\r\n\r\n";
         prop_assume!(cut < full.len());
-        let error = parse(full[..cut].as_bytes()).expect_err("truncated head must not parse");
+        let error = parse(&full.as_bytes()[..cut]).expect_err("truncated head must not parse");
         prop_assert!(
             matches!(error, WireError::Truncated | WireError::Closed),
             "unexpected error: {:?}", error

@@ -150,11 +150,42 @@ impl ElementBuilder {
     }
 
     /// Materializes the subtree as the root element of a fresh document.
-    pub fn build_document(&self) -> Document {
+    ///
+    /// Consumes the builder and moves its names, attribute values and text
+    /// into the document instead of copying them, so building a large
+    /// tree allocates each string once. A caller that wants to keep the
+    /// builder calls `.clone().build_document()`, or [`build`](Self::build)
+    /// to graft the tree under a node of an existing document.
+    pub fn build_document(self) -> Document {
         let mut doc = Document::new();
         let parent = doc.document_node();
-        self.build(&mut doc, parent);
+        self.build_into(&mut doc, parent);
         doc
+    }
+
+    /// [`build`](Self::build) by move.
+    fn build_into(self, doc: &mut Document, parent: NodeId) -> NodeId {
+        let id = doc.create_element(parent, self.name);
+        for (prefix, uri) in self.namespaces {
+            doc.declare_namespace(id, prefix, uri);
+        }
+        for (name, value) in self.attrs {
+            doc.set_attribute(id, name, value);
+        }
+        for c in self.children {
+            match c {
+                BuilderNode::Element(e) => {
+                    e.build_into(doc, id);
+                }
+                BuilderNode::Text(t) => {
+                    doc.create_text(id, t);
+                }
+                BuilderNode::Comment(t) => {
+                    doc.create_comment(id, t);
+                }
+            }
+        }
+        id
     }
 }
 

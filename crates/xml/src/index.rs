@@ -261,7 +261,8 @@ mod tests {
     fn index_invalidated_exactly_when_content_hash_resets() {
         // Every mutation that resets the content-hash memo must also reset
         // the index memo; both are cleared by the same choke point.
-        let mutations: Vec<(&str, fn(&mut Document))> = vec![
+        type Mutation = (&'static str, fn(&mut Document));
+        let mutations: Vec<Mutation> = vec![
             ("create_element", |d| {
                 let r = d.root_element().unwrap();
                 d.create_element(r, "extra");

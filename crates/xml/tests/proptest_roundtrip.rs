@@ -1,6 +1,7 @@
 //! Property-based tests: serialize ∘ parse is the identity on serialized
-//! documents, parsing never panics on arbitrary input, and mutating a
-//! copy-on-write clone never shows through the document it was cloned from.
+//! documents, parsing never panics on arbitrary input, mutating a
+//! copy-on-write clone never shows through the document it was cloned
+//! from, and building a document by move gives what building by copy does.
 
 use navsep_xml::{Document, ElementBuilder, NodeId, WriteOptions};
 use proptest::prelude::*;
@@ -240,5 +241,75 @@ proptest! {
         prop_assert_eq!(shared.content_hash(), eager.content_hash());
         prop_assert_eq!(shared.content_hash(), navsep_xml::fnv1a64(shared_bytes.as_bytes()));
         prop_assert_eq!(shared.index().elements(), eager.index().elements());
+    }
+}
+
+/// Like [`tree_strategy`], plus what that strategy leaves out: comments,
+/// namespace declarations and repeated attribute names (the later value
+/// wins).
+fn rich_tree_strategy() -> impl Strategy<Value = ElementBuilder> {
+    let leaf = (
+        name_strategy(),
+        text_strategy(),
+        proptest::option::of(text_strategy()),
+    )
+        .prop_map(|(name, text, comment)| {
+            let mut b = ElementBuilder::new(name.as_str());
+            if !text.is_empty() {
+                b = b.text(text);
+            }
+            if let Some(c) = comment {
+                b = b.comment(c);
+            }
+            b
+        });
+    leaf.prop_recursive(4, 24, 4, |inner| {
+        (
+            name_strategy(),
+            proptest::collection::vec((0usize..3, attr_value_strategy()), 0..4),
+            proptest::option::of(name_strategy()),
+            proptest::collection::vec(inner, 0..4),
+        )
+            .prop_map(|(name, attrs, prefix, children)| {
+                let mut b = ElementBuilder::new(name.as_str());
+                if let Some(p) = prefix {
+                    b = b.namespace(p.clone(), format!("urn:{p}")).attr(
+                        navsep_xml::QName::with_namespace(p.as_str(), "k", format!("urn:{p}")),
+                        "ns",
+                    );
+                }
+                for (k, v) in attrs {
+                    b = b.attr(["a", "b", "id"][k], v);
+                }
+                b.children(children)
+            })
+    })
+}
+
+proptest! {
+    /// Builder law: the consuming `build_document` gives the same arena,
+    /// bytes, content hash and index as building the same tree by copy
+    /// through `build` under a fresh document's root.
+    #[test]
+    fn build_document_by_move_matches_build_by_copy(tree in rich_tree_strategy()) {
+        let mut copied = Document::new();
+        let root = copied.document_node();
+        tree.build(&mut copied, root);
+        let moved = tree.build_document();
+
+        // Before either memo is filled, so the arenas are compared alone.
+        prop_assert_eq!(format!("{moved:?}"), format!("{copied:?}"));
+        prop_assert_eq!(moved.to_xml_string(), copied.to_xml_string());
+        prop_assert_eq!(moved.content_hash(), copied.content_hash());
+        let (a, b) = (moved.index(), copied.index());
+        prop_assert_eq!(a.elements(), b.elements());
+        for &element in a.elements() {
+            prop_assert_eq!(a.order_of(element), b.order_of(element));
+            let local = moved.name(element).unwrap().local();
+            prop_assert_eq!(a.elements_named(local), b.elements_named(local));
+            if let Some(id) = moved.attribute(element, "id") {
+                prop_assert_eq!(a.elements_with_id(id), b.elements_with_id(id));
+            }
+        }
     }
 }
